@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, standardize, stratified_kfold, take_rows
-from .harmony import Harmony, RunHistory
+from .classifiers import _sigmoid
+# benchmark tracing patches take_rows and standardize here, so they stay imported
+from .dataset import Dataset, standardize, stratified_kfold, take_rows  # noqa: F401
+from .harmony import Harmony, RunHistory, random_subset
 from .subsets import FeatureSubset
-from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, accuracy, fit_predict
+from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, cross_validate
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,6 @@ class PcaConfig:
             raise ValueError(f"components must be >= 1, got {self.components}")
 
 
-def _random_subset(rng: np.random.Generator, n_features: int, k: int) -> FeatureSubset:
-    return FeatureSubset(tuple(int(i) for i in rng.choice(n_features, size=k, replace=False)))
-
-
 def _repair_duplicates(genes: list[int], rng: np.random.Generator, n_features: int) -> list[int]:
     """Replace duplicate genes with uniform random unused indices."""
     seen: set[int] = set()
@@ -122,7 +120,7 @@ def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
     rng = np.random.default_rng(cfg.seed)
     k, n = cfg.subset_size, cfg.n_features
 
-    population = [_random_subset(rng, n, k) for _ in range(cfg.population)]
+    population = [random_subset(n, k, rng) for _ in range(cfg.population)]
     fitnesses = [float(objective(s)) for s in population]
     evaluations = cfg.population
 
@@ -179,15 +177,6 @@ def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
         elapsed_seconds=time.perf_counter() - start,
     )
     return best, history
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
 
 
 def _repair_to_k(selected: np.ndarray, prob: np.ndarray, k: int) -> np.ndarray:
@@ -350,38 +339,14 @@ def pca_transform(model: PcaModel, d: Dataset) -> Dataset:
 def evaluate_components(d: Dataset, r: int, cfg: ObjectiveConfig) -> EvaluationResult:
     """Cross-validated accuracy with per-fold PCA to r dimensions.
 
-    Mirrors the subset objective: same stratified folds, standardization
-    and PCA both fitted on the training part of each fold only.
+    The subset objective's CV loop, with PCA fitted on the standardized
+    training part of each fold only.
     """
-    start = time.perf_counter()
-    folds = stratified_kfold(d, cfg.folds, cfg.fold_seed)
-    correct = 0
-    total = 0
-    per_fold: list[float] = []
-    for f in range(cfg.folds):
-        train = take_rows(d, folds.train_indices(f))
-        test = take_rows(d, folds.test_indices(f))
-        if cfg.standardize:
-            train, test = standardize(train, test)
+    def reduce(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
         model = pca_fit(train, r)
-        train_r = pca_transform(model, train)
-        test_r = pca_transform(model, test)
-        predicted = fit_predict(train_r, test_r, cfg)
-        fold_correct = int((predicted == test.labels).sum())
-        per_fold.append(accuracy(fold_correct, test.n_samples))
-        correct += fold_correct
-        total += test.n_samples
-    if cfg.fold_average:
-        overall = float(np.mean(per_fold))
-    else:
-        overall = accuracy(correct, total)
-    return EvaluationResult(
-        accuracy_percent=overall,
-        per_fold_accuracy=tuple(per_fold),
-        correct_count=correct,
-        total_count=total,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+        return pca_transform(model, train), pca_transform(model, test)
+
+    return cross_validate(d, cfg, reduce)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class MlpConfig:
 
     hidden_neurons=None resolves at training time to
     ceil((n_features + n_classes) / 2).
-
-    adjustment_factor is recorded for configuration completeness but is not
-    used by any update rule; no standard backprop parameter carries that
-    name.
     """
 
     hidden_neurons: int | None = None
@@ -40,7 +36,6 @@ class MlpConfig:
     momentum: float = 0.4
     epochs: int = 1000
     seed: int = 0
-    adjustment_factor: float = 0.7
 
     def __post_init__(self) -> None:
         if self.hidden_neurons is not None and self.hidden_neurons < 1:

@@ -13,15 +13,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
-from .baselines import GaConfig, PcaConfig, PsoConfig, ga_run, pca_run, pso_run
+from .baselines import GaConfig, PcaConfig, PsoConfig
 from .classifiers import KnnConfig, MlpConfig
 from .dataset import Dataset, DatasetError, load_csv
-from .harmony import PITCH_TOPOLOGIES, HsConfig, hs_run
+from .harmony import PITCH_TOPOLOGIES, HsConfig
 from .harness import (
+    OptimizerConfig,
     compare_optimizers,
     emit_report,
+    run_optimizer,
     sweep_fractions,
     sweep_grid,
 )
@@ -44,42 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything a run needs, resolved from flags, env, and config file."""
-
-    command: str
-    data_path: str
-    label_column: str
-    seed: int
-    objective: ObjectiveConfig
-    output_path: str
-    output_format: str
-    k: int | None = None
-    optimizer: str = "hs"
-    optimizers: tuple[str, ...] = ("hs", "ga", "pso")
-    hms: int = 20
-    hmcr: float = 0.7
-    par: float = 0.3
-    bandwidth: float = 1.0
-    iterations: int = 100
-    pitch_topology: str = "index"
-    population: int = 20
-    generations: int = 100
-    crossover_rate: float = 1.0
-    mutation_rate: float = 0.1
-    particles: int = 20
-    pso_iterations: int = 100
-    c1: float = 2.0
-    c2: float = 2.0
-    inertia: float = 0.9
-    components: int | None = None
-    fractions: tuple[float, ...] = (15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
-    hms_values: tuple[int, ...] = (10, 20, 30, 40, 50)
-    iteration_values: tuple[int, ...] = (10, 20, 30, 40, 50)
-    features: tuple[int, ...] = ()
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
@@ -90,13 +55,33 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _float_list(text: str) -> tuple[float, ...]:
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_int_list(text: str) -> tuple[int, ...]:
+    values = _int_list(text)
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"entries must be >= 1, got {text!r}")
+    return values
+
+
+def _percent_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
+    for pct in values:
+        if not 0.0 < pct <= 100.0:
+            raise argparse.ArgumentTypeError(f"fractions must be in (0,100], got {pct}")
     return values
 
 
@@ -174,7 +159,7 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("select", help="search for the best k-feature subset", **kwargs)
     _add_common(p, reports=False, default_output="")
-    p.add_argument("--k", type=int, required=True, help="subset size")
+    p.add_argument("--k", type=_positive_int, required=True, help="subset size")
     p.add_argument("--optimizer", choices=("hs", "ga", "pso"), default="hs",
                    help="search algorithm")
     _add_hs_flags(p)
@@ -183,24 +168,24 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("grid", help="HMS x iterations accuracy grid", **kwargs)
     _add_common(p, reports=True, default_output="grid_report.<format>")
-    p.add_argument("--k", type=int, required=True, help="subset size")
-    p.add_argument("--hms-values", type=_int_list, default=(10, 20, 30, 40, 50),
+    p.add_argument("--k", type=_positive_int, required=True, help="subset size")
+    p.add_argument("--hms-values", type=_positive_int_list, default=(10, 20, 30, 40, 50),
                    help="comma-separated HMS column values")
-    p.add_argument("--iteration-values", type=_int_list, default=(10, 20, 30, 40, 50),
+    p.add_argument("--iteration-values", type=_positive_int_list, default=(10, 20, 30, 40, 50),
                    help="comma-separated iteration row values")
     _add_hs_flags(p)
 
     p = subs.add_parser("fractions", help="sweep subset sizes as feature fractions",
                         **kwargs)
     _add_common(p, reports=True, default_output="fractions_report.<format>")
-    p.add_argument("--fractions", type=_float_list,
+    p.add_argument("--fractions", type=_percent_list,
                    default=(15.0, 30.0, 45.0, 60.0, 75.0, 90.0),
                    help="comma-separated percentages in (0,100]")
     _add_hs_flags(p)
 
     p = subs.add_parser("compare", help="run several optimizers and time them", **kwargs)
     _add_common(p, reports=True, default_output="compare_report.<format>")
-    p.add_argument("--k", type=int, required=True, help="subset size")
+    p.add_argument("--k", type=_positive_int, required=True, help="subset size")
     p.add_argument("--optimizers", type=_name_list, default=("hs", "ga", "pso"),
                    help="comma-separated subset of hs,ga,pso,pca")
     p.add_argument("--components", type=int, default=None,
@@ -272,12 +257,12 @@ def _env_seed_args() -> list[str]:
     return ["--seed", raw]
 
 
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise UsageError(message)
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse flags, SUBSETHARMONY_SEED and --config into one namespace.
 
-
-def parse_args(argv: list[str]) -> RunSpec:
+    The namespace also carries `objective`, the resolved ObjectiveConfig,
+    and, for report commands, `output` with its format-dependent default.
+    """
     parser = _build_parser()
     if not argv or argv[0] in ("-h", "--help"):
         if argv:
@@ -291,56 +276,8 @@ def parse_args(argv: list[str]) -> RunSpec:
     injected.extend(_env_seed_args())
     ns = parser.parse_args([command] + injected + rest)
 
-    _check(os.path.isfile(ns.data), f"dataset file not found: {ns.data}")
-    _check(ns.folds >= 2, f"--folds must be >= 2, got {ns.folds}")
-    _check(ns.epochs >= 1, f"--epochs must be >= 1, got {ns.epochs}")
-    _check(ns.learning_rate >= 0.0, f"--learning-rate must be >= 0, got {ns.learning_rate}")
-    _check(0.0 <= ns.momentum < 1.0, f"--momentum must be in [0,1), got {ns.momentum}")
-    _check(ns.hidden is None or ns.hidden >= 1, f"--hidden must be >= 1, got {ns.hidden}")
-    _check(ns.neighbors >= 1, f"--neighbors must be >= 1, got {ns.neighbors}")
-
-    k = getattr(ns, "k", None)
-    if k is not None:
-        _check(k >= 1, f"--k must be >= 1, got {k}")
-    if hasattr(ns, "hms"):
-        _check(ns.hms >= 1, f"--hms must be >= 1, got {ns.hms}")
-        _check(0.0 <= ns.hmcr <= 1.0, f"--hmcr must be in [0,1], got {ns.hmcr}")
-        _check(0.0 <= ns.par <= 1.0, f"--par must be in [0,1], got {ns.par}")
-        _check(ns.bandwidth > 0.0, f"--bandwidth must be > 0, got {ns.bandwidth}")
-        _check(ns.iterations >= 1, f"--iterations must be >= 1, got {ns.iterations}")
-    if hasattr(ns, "population"):
-        _check(ns.population >= 2, f"--population must be >= 2, got {ns.population}")
-        _check(ns.generations >= 1, f"--generations must be >= 1, got {ns.generations}")
-        _check(0.0 <= ns.crossover_rate <= 1.0,
-               f"--crossover-rate must be in [0,1], got {ns.crossover_rate}")
-        _check(0.0 <= ns.mutation_rate <= 1.0,
-               f"--mutation-rate must be in [0,1], got {ns.mutation_rate}")
-    if hasattr(ns, "particles"):
-        _check(ns.particles >= 2, f"--particles must be >= 2, got {ns.particles}")
-        _check(ns.pso_iterations >= 1,
-               f"--pso-iterations must be >= 1, got {ns.pso_iterations}")
-        _check(ns.c1 >= 0.0 and ns.c2 >= 0.0, "--c1 and --c2 must be >= 0")
-        _check(ns.inertia >= 0.0, f"--inertia must be >= 0, got {ns.inertia}")
-    components = getattr(ns, "components", None)
-    if components is not None:
-        _check(components >= 1, f"--components must be >= 1, got {components}")
-    fractions = getattr(ns, "fractions", None)
-    if fractions is not None:
-        for pct in fractions:
-            _check(0.0 < pct <= 100.0,
-                   f"fractions must be in (0,100], got {pct}")
-    for attr in ("hms_values", "iteration_values"):
-        values = getattr(ns, attr, None)
-        if values is not None:
-            flag = "--" + attr.replace("_", "-")
-            _check(all(v >= 1 for v in values), f"{flag} entries must be >= 1")
-    features = getattr(ns, "features", None)
-    if features is not None:
-        try:
-            FeatureSubset(tuple(features))
-        except ValueError as exc:
-            raise UsageError(f"--features: {exc}") from None
-
+    if not os.path.isfile(ns.data):
+        raise UsageError(f"dataset file not found: {ns.data}")
     try:
         mlp = MlpConfig(
             hidden_neurons=ns.hidden,
@@ -350,7 +287,7 @@ def parse_args(argv: list[str]) -> RunSpec:
             seed=derive_seed(ns.seed, "mlp"),
         )
         knn = KnnConfig(k_neighbors=ns.neighbors)
-        objective = ObjectiveConfig(
+        ns.objective = ObjectiveConfig(
             classifier=ns.classifier,
             mlp=mlp,
             knn=knn,
@@ -361,87 +298,31 @@ def parse_args(argv: list[str]) -> RunSpec:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-    output = getattr(ns, "output", None)
-    fmt = getattr(ns, "format", "csv")
-    if output is None:
-        if command in ("grid", "fractions", "compare"):
-            output = f"{command}_report.{'csv' if fmt == 'csv' else 'md'}"
-        else:
-            output = ""
-
-    return RunSpec(
-        command=command,
-        data_path=ns.data,
-        label_column=ns.label,
-        seed=ns.seed,
-        objective=objective,
-        output_path=output,
-        output_format=fmt,
-        k=k,
-        optimizer=getattr(ns, "optimizer", "hs"),
-        optimizers=tuple(getattr(ns, "optimizers", ("hs", "ga", "pso"))),
-        hms=getattr(ns, "hms", 20),
-        hmcr=getattr(ns, "hmcr", 0.7),
-        par=getattr(ns, "par", 0.3),
-        bandwidth=getattr(ns, "bandwidth", 1.0),
-        iterations=getattr(ns, "iterations", 100),
-        pitch_topology=getattr(ns, "pitch_topology", "index"),
-        population=getattr(ns, "population", 20),
-        generations=getattr(ns, "generations", 100),
-        crossover_rate=getattr(ns, "crossover_rate", 1.0),
-        mutation_rate=getattr(ns, "mutation_rate", 0.1),
-        particles=getattr(ns, "particles", 20),
-        pso_iterations=getattr(ns, "pso_iterations", 100),
-        c1=getattr(ns, "c1", 2.0),
-        c2=getattr(ns, "c2", 2.0),
-        inertia=getattr(ns, "inertia", 0.9),
-        components=components,
-        fractions=tuple(fractions) if fractions is not None
-        else (15.0, 30.0, 45.0, 60.0, 75.0, 90.0),
-        hms_values=tuple(getattr(ns, "hms_values", (10, 20, 30, 40, 50))),
-        iteration_values=tuple(getattr(ns, "iteration_values", (10, 20, 30, 40, 50))),
-        features=tuple(features) if features is not None else (),
-    )
+    if getattr(ns, "output", "") is None:
+        ns.output = f"{command}_report.{'csv' if ns.format == 'csv' else 'md'}"
+    return ns
 
 
-def _hs_config(spec: RunSpec, n_features: int, k: int) -> HsConfig:
-    return HsConfig(
-        n_features=n_features,
-        subset_size=k,
-        hms=spec.hms,
-        hmcr=spec.hmcr,
-        par=spec.par,
-        bandwidth=spec.bandwidth,
-        max_iterations=spec.iterations,
-        seed=derive_seed(spec.seed, "hs"),
-        pitch_topology=spec.pitch_topology,
-    )
+# the flag by which a subcommand accepts each optimizer's settings
+_OPTIMIZER_FLAGS = {"hs": "hms", "ga": "population", "pso": "particles", "pca": "components"}
 
 
-def _ga_config(spec: RunSpec, n_features: int, k: int) -> GaConfig:
-    return GaConfig(
-        n_features=n_features,
-        subset_size=k,
-        population=spec.population,
-        generations=spec.generations,
-        crossover_rate=spec.crossover_rate,
-        mutation_rate=spec.mutation_rate,
-        seed=derive_seed(spec.seed, "ga"),
-    )
-
-
-def _pso_config(spec: RunSpec, n_features: int, k: int) -> PsoConfig:
-    return PsoConfig(
-        n_features=n_features,
-        subset_size=k,
-        particles=spec.particles,
-        iterations=spec.pso_iterations,
-        c1=spec.c1,
-        c2=spec.c2,
-        inertia=spec.inertia,
-        seed=derive_seed(spec.seed, "pso"),
-    )
+def _optimizer_config(name: str, ns: argparse.Namespace, n_features: int,
+                      k: int) -> OptimizerConfig:
+    """One optimizer's config from its flags; the config validates them."""
+    if name == "pca":
+        return PcaConfig(components=ns.components)
+    seed = derive_seed(ns.seed, name)
+    if name == "hs":
+        return HsConfig(n_features, k, hms=ns.hms, hmcr=ns.hmcr, par=ns.par,
+                        bandwidth=ns.bandwidth, max_iterations=ns.iterations, seed=seed,
+                        pitch_topology=ns.pitch_topology)
+    if name == "ga":
+        return GaConfig(n_features, k, population=ns.population,
+                        generations=ns.generations, crossover_rate=ns.crossover_rate,
+                        mutation_rate=ns.mutation_rate, seed=seed)
+    return PsoConfig(n_features, k, particles=ns.particles, iterations=ns.pso_iterations,
+                     c1=ns.c1, c2=ns.c2, inertia=ns.inertia, seed=seed)
 
 
 def _subset_line(prefix: str, d: Dataset, indices: tuple[int, ...]) -> str:
@@ -451,40 +332,36 @@ def _subset_line(prefix: str, d: Dataset, indices: tuple[int, ...]) -> str:
     return f"{prefix}: {joined} ({names})"
 
 
-def main(spec: RunSpec) -> int:
-    d = load_csv(spec.data_path, spec.label_column)
-    objective = SubsetObjective(d, spec.objective)
+def main(ns: argparse.Namespace) -> int:
+    d = load_csv(ns.data, ns.label)
+    objective = SubsetObjective(d, ns.objective)
+    # every optimizer whose flags the subcommand accepts gets a config, so a
+    # bad value is rejected even when the run does not use that optimizer;
+    # fractions has no --k because its sweep sets the subset size
+    configs = {name: _optimizer_config(name, ns, d.n_features, getattr(ns, "k", 1))
+               for name, flag in _OPTIMIZER_FLAGS.items() if hasattr(ns, flag)}
 
-    if spec.command == "select":
-        assert spec.k is not None
-        if spec.optimizer == "hs":
-            best, history = hs_run(_hs_config(spec, d.n_features, spec.k), objective)
-        elif spec.optimizer == "ga":
-            best, history = ga_run(_ga_config(spec, d.n_features, spec.k), objective)
-        else:
-            best, history = pso_run(_pso_config(spec, d.n_features, spec.k), objective)
+    if ns.command == "select":
+        best, history = run_optimizer(configs[ns.optimizer], objective)
         print(_subset_line("best subset", d, best.subset.indices))
         print(f"accuracy: {best.fitness:.2f}")
         print(f"evaluations: {history.evaluations}")
         return 0
 
-    if spec.command == "grid":
-        assert spec.k is not None
-        base = _hs_config(spec, d.n_features, spec.k)
-        report = sweep_grid(spec.hms_values, spec.iteration_values, base, objective)
-        emit_report(report, spec.output_format, spec.output_path)
+    if ns.command == "grid":
+        report = sweep_grid(ns.hms_values, ns.iteration_values, configs["hs"], objective)
+        emit_report(report, ns.format, ns.output)
         print(
             f"best cell: iterations={report.iteration_values[report.best_row]} "
             f"hms={report.hms_values[report.best_col]} "
             f"accuracy={report.best_accuracy:.2f}"
         )
-        print(f"report written: {spec.output_path}")
+        print(f"report written: {ns.output}")
         return 0
 
-    if spec.command == "fractions":
-        base = _hs_config(spec, d.n_features, 1)
-        report = sweep_fractions(spec.fractions, base, objective)
-        emit_report(report, spec.output_format, spec.output_path)
+    if ns.command == "fractions":
+        report = sweep_fractions(ns.fractions, configs["hs"], objective)
+        emit_report(report, ns.format, ns.output)
         best_i = max(range(len(report.accuracies)),
                      key=lambda i: (report.accuracies[i], -i))
         print(
@@ -492,37 +369,26 @@ def main(spec: RunSpec) -> int:
             f"(k={report.subset_sizes[best_i]}) "
             f"accuracy={report.accuracies[best_i]:.2f}"
         )
-        print(f"report written: {spec.output_path}")
+        print(f"report written: {ns.output}")
         return 0
 
-    if spec.command == "compare":
-        assert spec.k is not None
-        configs = []
-        for name in spec.optimizers:
-            if name == "hs":
-                configs.append(_hs_config(spec, d.n_features, spec.k))
-            elif name == "ga":
-                configs.append(_ga_config(spec, d.n_features, spec.k))
-            elif name == "pso":
-                configs.append(_pso_config(spec, d.n_features, spec.k))
-            else:
-                configs.append(PcaConfig(components=spec.components))
-        report = compare_optimizers(configs, objective)
-        emit_report(report, spec.output_format, spec.output_path)
+    if ns.command == "compare":
+        report = compare_optimizers([configs[name] for name in ns.optimizers], objective)
+        emit_report(report, ns.format, ns.output)
         for row in report.rows:
             print(f"{row.optimizer}: subset_size={row.subset_size} "
                   f"accuracy={row.accuracy_percent:.2f}")
-        print(f"report written: {spec.output_path}")
+        print(f"report written: {ns.output}")
         return 0
 
-    if spec.command == "pca":
-        result = pca_run(PcaConfig(components=spec.components), objective)
+    if ns.command == "pca":
+        result = run_optimizer(configs["pca"], objective)
         print(f"components: {result.components}")
         print(f"accuracy: {result.accuracy_percent:.2f}")
         return 0
 
     # eval
-    subset = FeatureSubset(spec.features)
+    subset = FeatureSubset(ns.features)
     result = objective.evaluate(subset)
     print(_subset_line("subset", d, subset.indices))
     print(f"accuracy: {result.accuracy_percent:.2f}")
@@ -537,14 +403,14 @@ def main(spec: RunSpec) -> int:
 def run(argv: list[str] | None = None) -> int:
     """Console entry point; returns the process exit code."""
     try:
-        spec = parse_args(list(sys.argv[1:]) if argv is None else list(argv))
+        ns = parse_args(list(sys.argv[1:]) if argv is None else list(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     try:
-        return main(spec)
+        return main(ns)
     except DatasetError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ entry only on strict fitness improvement.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,62 +150,38 @@ def pitch_adjust(
     band: float,
     eps: float,
     forbidden: set[int],
-    n_features: int,
+    domain: int | Sequence[int],
 ) -> int:
-    """Move a feature index to a nearby free one on the index line.
+    """Move a feature index to a nearby free one along a sorted domain.
 
-    The raw step is round(band * eps); a step that rounds to zero becomes a
-    unit step in eps's direction, so left and right moves are equally
-    likely under symmetric eps. The candidate is clamped to the valid
-    range, and collisions with `forbidden` (or with the original value)
-    probe outward alternately (+1, -1, +2, -2, ...) until a free index is
-    found. If no index is free the value is returned unchanged.
+    An int domain n is the index line range(n); a sequence (a memory column)
+    is walked as its sorted distinct values, and must contain value. The raw
+    step is round(band * eps) positions; a step that rounds to zero becomes
+    a unit step in eps's direction, so left and right moves are equally
+    likely under symmetric eps. The candidate position is clamped to the
+    domain, and collisions with `forbidden` (or with the original value)
+    probe outward alternately (+1, -1, +2, -2, ...) until a free value is
+    found. If no value is free the value is returned unchanged.
     """
     if not -1.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [-1,1], got {eps}")
-    step = int(np.rint(band * eps))
-    if step == 0 and eps != 0.0:
-        step = 1 if eps > 0 else -1
-    candidate = min(max(value + step, 0), n_features - 1)
-
-    def free(i: int) -> bool:
-        return 0 <= i < n_features and i != value and i not in forbidden
-
-    if free(candidate):
-        return candidate
-    for delta in range(1, n_features + 1):
-        if free(candidate + delta):
-            return candidate + delta
-        if free(candidate - delta):
-            return candidate - delta
-    return value
-
-
-def _pitch_adjust_column(
-    value: int,
-    band: float,
-    eps: float,
-    forbidden: set[int],
-    domain: list[int],
-) -> int:
-    """Pitch adjustment along the sorted values of one memory column."""
-    ordered = sorted(set(domain))
+    ordered = range(domain) if isinstance(domain, int) else sorted(set(domain))
     pos = ordered.index(value)
     step = int(np.rint(band * eps))
     if step == 0 and eps != 0.0:
         step = 1 if eps > 0 else -1
-    cand = min(max(pos + step, 0), len(ordered) - 1)
+    candidate = min(max(pos + step, 0), len(ordered) - 1)
 
     def free(p: int) -> bool:
         return 0 <= p < len(ordered) and ordered[p] != value and ordered[p] not in forbidden
 
-    if free(cand):
-        return ordered[cand]
+    if free(candidate):
+        return ordered[candidate]
     for delta in range(1, len(ordered) + 1):
-        if free(cand + delta):
-            return ordered[cand + delta]
-        if free(cand - delta):
-            return ordered[cand - delta]
+        if free(candidate + delta):
+            return ordered[candidate + delta]
+        if free(candidate - delta):
+            return ordered[candidate - delta]
     return value
 
 
@@ -232,10 +209,8 @@ def improvise(memory: HarmonyMemory, cfg: HsConfig, rng: np.random.Generator) ->
                 m2 = rng.random()
                 if m2 < cfg.par:
                     eps = float(rng.uniform(-1.0, 1.0))
-                    if cfg.pitch_topology == "index":
-                        value = pitch_adjust(value, cfg.bandwidth, eps, chosen_set, cfg.n_features)
-                    else:
-                        value = _pitch_adjust_column(value, cfg.bandwidth, eps, chosen_set, column)
+                    domain = cfg.n_features if cfg.pitch_topology == "index" else column
+                    value = pitch_adjust(value, cfg.bandwidth, eps, chosen_set, domain)
             else:
                 pool = sorted(memory.column_union() - chosen_set)
                 if not pool:

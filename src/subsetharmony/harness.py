@@ -193,6 +193,22 @@ def sweep_fractions(
 
 
 OptimizerConfig = HsConfig | GaConfig | PsoConfig | PcaConfig
+_ROW_NAMES = {HsConfig: "HS", GaConfig: "GA", PsoConfig: "PSO", PcaConfig: "PCA"}
+
+
+def run_optimizer(cfg: OptimizerConfig, objective: SubsetObjective):
+    """Run the optimizer a config belongs to against the objective.
+
+    Returns hs_run's, ga_run's or pso_run's (best, history) pair, or
+    pca_run's PcaSweepResult.
+    """
+    # looked up per call, so a run function replaced on this module is the one that runs
+    runners = {HsConfig: hs_run, GaConfig: ga_run, PsoConfig: pso_run, PcaConfig: pca_run}
+    try:
+        run = runners[type(cfg)]
+    except KeyError:
+        raise TypeError(f"unsupported optimizer config: {type(cfg).__name__}") from None
+    return run(cfg, objective)
 
 
 def compare_optimizers(
@@ -210,26 +226,14 @@ def compare_optimizers(
     for cfg in configs:
         objective.reset_cache()
         start = time.perf_counter()
-        if isinstance(cfg, HsConfig):
-            name = "HS"
-            best, _ = hs_run(cfg, objective)
-            size, acc = best.subset.k, best.fitness
-        elif isinstance(cfg, GaConfig):
-            name = "GA"
-            best, _ = ga_run(cfg, objective)
-            size, acc = best.subset.k, best.fitness
-        elif isinstance(cfg, PsoConfig):
-            name = "PSO"
-            best, _ = pso_run(cfg, objective)
-            size, acc = best.subset.k, best.fitness
-        elif isinstance(cfg, PcaConfig):
-            name = "PCA"
-            result = pca_run(cfg, objective)
+        result = run_optimizer(cfg, objective)
+        elapsed = time.perf_counter() - start
+        if isinstance(cfg, PcaConfig):
             size, acc = result.components, result.accuracy_percent
         else:
-            raise TypeError(f"unsupported optimizer config: {type(cfg).__name__}")
-        elapsed = time.perf_counter() - start
-        rows.append(ComparisonRow(name, size, acc, elapsed))
+            best, _ = result
+            size, acc = best.subset.k, best.fitness
+        rows.append(ComparisonRow(_ROW_NAMES[type(cfg)], size, acc, elapsed))
     return ComparisonReport(rows=tuple(rows))
 
 

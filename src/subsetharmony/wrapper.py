@@ -11,8 +11,8 @@ during a search.
 from __future__ import annotations
 
 import math
-import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -71,35 +71,25 @@ class EvaluationResult:
 
 
 class SubsetCache:
-    """Thread-safe map from canonical subset key to EvaluationResult.
-
-    Identical keys always map to identical results (the objective is
-    deterministic), so concurrent last-writer-wins races are benign.
-    """
+    """Map from canonical subset key to EvaluationResult."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._entries: dict[tuple[int, ...], EvaluationResult] = {}
 
     def get(self, key: tuple[int, ...]) -> EvaluationResult | None:
-        with self._lock:
-            return self._entries.get(key)
+        return self._entries.get(key)
 
     def put(self, key: tuple[int, ...], result: EvaluationResult) -> None:
-        with self._lock:
-            self._entries[key] = result
+        self._entries[key] = result
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: tuple[int, ...]) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
 
 @dataclass(frozen=True)
@@ -133,34 +123,30 @@ def fit_predict(train: Dataset, test: Dataset, cfg: ObjectiveConfig) -> np.ndarr
     return knn_predict(train, cfg.knn, test)
 
 
-def evaluate_subset(
+def cross_validate(
     d: Dataset,
-    s: FeatureSubset,
     cfg: ObjectiveConfig,
-    cache: SubsetCache | None = None,
+    transform: Callable[[Dataset, Dataset], tuple[Dataset, Dataset]] | None = None,
 ) -> EvaluationResult:
-    """Stratified k-fold CV accuracy of the classifier on project(d, s).
+    """Stratified k-fold CV accuracy of the configured classifier on d.
 
     The fold assignment depends only on the labels and cfg.fold_seed, so
-    every subset is scored against the same folds. Cached results are
-    returned verbatim on re-query of the same feature set in any order.
+    every caller is scored against the same folds. Standardization and then
+    `transform(train, test)`, if given, are fitted per fold on the training
+    part only.
     """
-    key = s.key
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
     start = time.perf_counter()
-    sub = project(d, s)
-    folds = stratified_kfold(sub, cfg.folds, cfg.fold_seed)
+    folds = stratified_kfold(d, cfg.folds, cfg.fold_seed)
     correct = 0
     total = 0
     per_fold: list[float] = []
     for f in range(cfg.folds):
-        train = take_rows(sub, folds.train_indices(f))
-        test = take_rows(sub, folds.test_indices(f))
+        train = take_rows(d, folds.train_indices(f))
+        test = take_rows(d, folds.test_indices(f))
         if cfg.standardize:
             train, test = standardize(train, test)
+        if transform is not None:
+            train, test = transform(train, test)
         predicted = fit_predict(train, test, cfg)
         fold_correct = int((predicted == test.labels).sum())
         per_fold.append(accuracy(fold_correct, test.n_samples))
@@ -170,24 +156,28 @@ def evaluate_subset(
         overall = float(np.mean(per_fold))
     else:
         overall = accuracy(correct, total)
-    result = EvaluationResult(
+    return EvaluationResult(
         accuracy_percent=overall,
         per_fold_accuracy=tuple(per_fold),
         correct_count=correct,
         total_count=total,
         elapsed_seconds=time.perf_counter() - start,
     )
-    if cache is not None:
-        cache.put(key, result)
-    return result
+
+
+def evaluate_subset(d: Dataset, s: FeatureSubset, cfg: ObjectiveConfig) -> EvaluationResult:
+    """Stratified k-fold CV accuracy of the classifier on project(d, s)."""
+    return cross_validate(project(d, s), cfg)
 
 
 class SubsetObjective:
     """Callable objective f(subset) -> accuracy percent, with memoization.
 
     The callable form is what the optimizers consume; `evaluate` exposes the
-    full per-fold result. `calls` counts objective invocations including
-    cache hits; `unique_evaluations` counts actual CV runs.
+    full per-fold result. Results are cached under the canonical (sorted)
+    subset key and returned verbatim on re-query of the same feature set in
+    any order. `calls` counts objective invocations including cache hits;
+    `unique_evaluations` counts actual scoring runs.
     """
 
     def __init__(self, dataset: Dataset, config: ObjectiveConfig,
@@ -202,7 +192,15 @@ class SubsetObjective:
 
     def evaluate(self, subset: FeatureSubset) -> EvaluationResult:
         self.calls += 1
-        return evaluate_subset(self.dataset, subset, self.config, self.cache)
+        result = self.cache.get(subset.key)
+        if result is None:
+            result = self._score(subset)
+            self.cache.put(subset.key, result)
+        return result
+
+    def _score(self, subset: FeatureSubset) -> EvaluationResult:
+        """Score one subset on a cache miss; subclasses replace only this."""
+        return evaluate_subset(self.dataset, subset, self.config)
 
     @property
     def unique_evaluations(self) -> int:
@@ -213,13 +211,7 @@ class SubsetObjective:
         self.calls = 0
 
 
-def loo_knn_accuracy(d: Dataset, subset: FeatureSubset, k_neighbors: int = 1) -> float:
-    """Leave-one-out kNN accuracy percent on the chosen columns.
-
-    Fully deterministic: no folds, no RNG. Tie handling matches knn_predict
-    (equidistant neighbors prefer the lower sample index, tied votes the
-    lowest class id), so exhaustive-search oracles are exactly repeatable.
-    """
+def _loo_knn_correct(d: Dataset, subset: FeatureSubset, k_neighbors: int) -> int:
     sub = project(d, FeatureSubset(subset.key))
     x = sub.features
     sq = np.einsum("ij,ij->i", x, x)
@@ -230,40 +222,40 @@ def loo_knn_accuracy(d: Dataset, subset: FeatureSubset, k_neighbors: int = 1) ->
     predicted = np.array(
         [np.argmax(np.bincount(row, minlength=sub.n_classes)) for row in votes]
     )
-    return accuracy(int((predicted == sub.labels).sum()), sub.n_samples)
+    return int((predicted == sub.labels).sum())
 
 
-class LeaveOneOutObjective:
-    """Deterministic LOO-kNN objective with the SubsetObjective interface."""
+def loo_knn_accuracy(d: Dataset, subset: FeatureSubset, k_neighbors: int = 1) -> float:
+    """Leave-one-out kNN accuracy percent on the chosen columns.
+
+    Fully deterministic: no folds, no RNG. Tie handling matches knn_predict
+    (equidistant neighbors prefer the lower sample index, tied votes the
+    lowest class id), so exhaustive-search oracles are exactly repeatable.
+    """
+    return accuracy(_loo_knn_correct(d, subset, k_neighbors), d.n_samples)
+
+
+class LeaveOneOutObjective(SubsetObjective):
+    """Deterministic LOO-kNN objective with the SubsetObjective interface.
+
+    Only the scoring step differs; `config` names the kNN, and consumers
+    that cross-validate on their own (pca_run) read its fold settings.
+    """
 
     def __init__(self, dataset: Dataset, k_neighbors: int = 1,
                  cache: SubsetCache | None = None) -> None:
-        self.dataset = dataset
-        self.k_neighbors = k_neighbors
-        self.cache = cache if cache is not None else SubsetCache()
-        self.calls = 0
+        super().__init__(dataset, ObjectiveConfig(classifier="knn",
+                                                  knn=KnnConfig(k_neighbors)), cache)
 
-    def __call__(self, subset: FeatureSubset) -> float:
-        self.calls += 1
-        cached = self.cache.get(subset.key)
-        if cached is not None:
-            return cached.accuracy_percent
+    def _score(self, subset: FeatureSubset) -> EvaluationResult:
         start = time.perf_counter()
-        acc = loo_knn_accuracy(self.dataset, subset, self.k_neighbors)
-        result = EvaluationResult(
+        n = self.dataset.n_samples
+        correct = _loo_knn_correct(self.dataset, subset, self.config.knn.k_neighbors)
+        acc = accuracy(correct, n)
+        return EvaluationResult(
             accuracy_percent=acc,
             per_fold_accuracy=(acc,),
-            correct_count=round(acc * self.dataset.n_samples / 100.0),
-            total_count=self.dataset.n_samples,
+            correct_count=correct,
+            total_count=n,
             elapsed_seconds=time.perf_counter() - start,
         )
-        self.cache.put(subset.key, result)
-        return acc
-
-    @property
-    def unique_evaluations(self) -> int:
-        return len(self.cache)
-
-    def reset_cache(self) -> None:
-        self.cache.clear()
-        self.calls = 0

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from subsetharmony import cli
+from subsetharmony import cli, harness
 from subsetharmony.harness import read_comparison_csv, read_fractions_csv, read_grid_csv
 
 
@@ -48,10 +48,10 @@ class TestParseArgs:
 
     def test_report_output_defaults_track_format(self, tiny8_path):
         spec = cli.parse_args(["grid", "--data", str(tiny8_path), "--k", "3"])
-        assert spec.output_path == "grid_report.csv"
+        assert spec.output == "grid_report.csv"
         spec = cli.parse_args(["grid", "--data", str(tiny8_path), "--k", "3",
                                "--format", "markdown"])
-        assert spec.output_path == "grid_report.md"
+        assert spec.output == "grid_report.md"
 
 
 class TestUsageErrors:
@@ -290,7 +290,7 @@ class TestErrorExitCodes:
         def boom(cfg, objective):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setattr(cli, "hs_run", boom)
+        monkeypatch.setattr(harness, "hs_run", boom)
         code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
                                      "--k", "3", *FAST])
         assert code == 3

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetharmony import (
     FeatureSubset,
@@ -18,6 +20,48 @@ from subsetharmony import (
     random_subset,
     replace_worst,
 )
+
+
+def _reference_index_walk(value, band, eps, forbidden, n_features):
+    """pitch_adjust on the index line, as written before the walks merged."""
+    step = int(np.rint(band * eps))
+    if step == 0 and eps != 0.0:
+        step = 1 if eps > 0 else -1
+    candidate = min(max(value + step, 0), n_features - 1)
+
+    def free(i):
+        return 0 <= i < n_features and i != value and i not in forbidden
+
+    if free(candidate):
+        return candidate
+    for delta in range(1, n_features + 1):
+        if free(candidate + delta):
+            return candidate + delta
+        if free(candidate - delta):
+            return candidate - delta
+    return value
+
+
+def _reference_column_walk(value, band, eps, forbidden, domain):
+    """Pitch adjustment along a memory column, as written before the walks merged."""
+    ordered = sorted(set(domain))
+    pos = ordered.index(value)
+    step = int(np.rint(band * eps))
+    if step == 0 and eps != 0.0:
+        step = 1 if eps > 0 else -1
+    cand = min(max(pos + step, 0), len(ordered) - 1)
+
+    def free(p):
+        return 0 <= p < len(ordered) and ordered[p] != value and ordered[p] not in forbidden
+
+    if free(cand):
+        return ordered[cand]
+    for delta in range(1, len(ordered) + 1):
+        if free(cand + delta):
+            return ordered[cand + delta]
+        if free(cand - delta):
+            return ordered[cand - delta]
+    return value
 
 
 def _memory(*rows):
@@ -112,6 +156,21 @@ class TestPitchAdjust:
     def test_eps_validated(self):
         with pytest.raises(ValueError):
             pitch_adjust(5, 1.0, 1.5, set(), 20)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_walks_on_both_topologies(self, data):
+        n = data.draw(st.integers(1, 25), label="n_features")
+        value = data.draw(st.integers(0, n - 1), label="value")
+        band = data.draw(st.floats(0.0, 8.0), label="band")
+        eps = data.draw(st.floats(-1.0, 1.0), label="eps")
+        forbidden = data.draw(st.sets(st.integers(0, n - 1)), label="forbidden")
+        column = data.draw(st.lists(st.integers(0, n - 1), max_size=12), label="column")
+        column.insert(data.draw(st.integers(0, len(column)), label="slot"), value)
+        assert pitch_adjust(value, band, eps, forbidden, n) == \
+            _reference_index_walk(value, band, eps, forbidden, n)
+        assert pitch_adjust(value, band, eps, forbidden, column) == \
+            _reference_column_walk(value, band, eps, forbidden, column)
 
     def test_direction_split_is_symmetric(self):
         # steps of |round(1*eps)| in {0,1}; zero-step promotion keeps the

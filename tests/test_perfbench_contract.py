@@ -1,0 +1,61 @@
+"""What the benchmark under perfbench/ needs from the package.
+
+The benchmark traces and captures runs by replacing module attributes at
+call time (tracing.LAYER_PATCHES, workloads.CAPTURED) and subclasses
+SubsetObjective. A refactor that renames one of those attributes, or that
+binds a run function where replacing the module attribute no longer
+reaches it, breaks every benchmark run; these tests catch that first.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+from subsetharmony import GaConfig, ObjectiveConfig, SubsetObjective, harness  # noqa: E402
+
+
+@pytest.mark.parametrize("module, attr, span", tracing.LAYER_PATCHES,
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_traced_attribute_resolves(module, attr, span):
+    assert callable(getattr(module, attr))
+
+
+@pytest.mark.parametrize("module, attr", workloads.CAPTURED)
+def test_captured_attribute_resolves(module, attr):
+    assert callable(getattr(module, attr))
+
+
+def test_compare_optimizers_sees_patched_runner(tiny8, monkeypatch):
+    seen = []
+    real = harness.ga_run
+
+    def spy(cfg, objective):
+        seen.append(cfg)
+        return real(cfg, objective)
+
+    monkeypatch.setattr(harness, "ga_run", spy)
+    cfg = GaConfig(n_features=8, subset_size=3, population=4, generations=2, seed=0)
+    objective = SubsetObjective(tiny8, ObjectiveConfig(classifier="knn", folds=2))
+    harness.compare_optimizers([cfg], objective)
+    assert seen == [cfg]
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_small_workload_passes_its_checks(tmp_path, traced):
+    wl = workloads.Workload("contract", 60, 6, 2, "knn", 2, ("hs", "ga", "pso", "pca"),
+                            True, generations=3, pso_iterations=3, components=2)
+    inputs = workloads.make_inputs(wl, 1, 0, tmp_path)
+    tracer = tracing.Tracer() if traced else None
+    rep = workloads.run_rep(wl, inputs, tracer)
+    attempted, failures = workloads.check_rep(wl, inputs, rep, tmp_path, tracer)
+    assert (attempted, failures) == (len(wl.optimizers) + 1, [])
+    if traced:
+        by_name, _ = tracing.summarize(tracer.spans)
+        assert by_name["wrapper.objective"]["calls"] == sum(c for c, _ in rep.segments)
+        assert by_name["baselines.evaluate_components"]["calls"] == 1

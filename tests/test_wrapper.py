@@ -117,9 +117,9 @@ class TestEvaluateSubset:
 
     def test_cache_returns_verbatim_result(self, tiny8):
         cache = SubsetCache()
-        cfg = _knn_config(folds=3, fold_seed=5)
-        first = evaluate_subset(tiny8, FeatureSubset((1, 3, 6)), cfg, cache)
-        second = evaluate_subset(tiny8, FeatureSubset((6, 1, 3)), cfg, cache)
+        obj = SubsetObjective(tiny8, _knn_config(folds=3, fold_seed=5), cache)
+        first = obj.evaluate(FeatureSubset((1, 3, 6)))
+        second = obj.evaluate(FeatureSubset((6, 1, 3)))
         assert second is first  # same object, elapsed_seconds included
         assert len(cache) == 1
 
@@ -199,3 +199,11 @@ class TestLeaveOneOut:
         assert obj.unique_evaluations == 1
         obj.reset_cache()
         assert obj.unique_evaluations == 0
+
+    def test_objective_result_counts_the_vote(self):
+        d = Dataset(np.array([[0.0], [10.0], [2.0]]), np.array([0, 1, 0]),
+                    ("f",), ("a", "b"))
+        r = LeaveOneOutObjective(d).evaluate(FeatureSubset((0,)))
+        assert (r.correct_count, r.total_count) == (2, 3)
+        assert r.per_fold_accuracy == (r.accuracy_percent,)
+        assert r.accuracy_percent == loo_knn_accuracy(d, FeatureSubset((0,)))
