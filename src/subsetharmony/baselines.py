@@ -17,7 +17,7 @@ from .classifiers import _sigmoid
 # benchmark tracing patches take_rows and standardize here, so they stay imported
 from .dataset import Dataset, standardize, stratified_kfold, take_rows  # noqa: F401
 from .harmony import Harmony, RunHistory, random_subset
-from .subsets import FeatureSubset
+from .subsets import FeatureSubset, check_subset_size
 from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, cross_validate
 
 
@@ -34,12 +34,7 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_features < 1:
-            raise ValueError(f"n_features must be >= 1, got {self.n_features}")
-        if not 1 <= self.subset_size <= self.n_features:
-            raise ValueError(
-                f"subset_size must be in [1, {self.n_features}], got {self.subset_size}"
-            )
+        check_subset_size(self.n_features, self.subset_size)
         if self.population < 2:
             raise ValueError(f"population must be >= 2, got {self.population}")
         if self.generations < 1:
@@ -65,12 +60,7 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_features < 1:
-            raise ValueError(f"n_features must be >= 1, got {self.n_features}")
-        if not 1 <= self.subset_size <= self.n_features:
-            raise ValueError(
-                f"subset_size must be in [1, {self.n_features}], got {self.subset_size}"
-            )
+        check_subset_size(self.n_features, self.subset_size)
         if self.particles < 2:
             raise ValueError(f"particles must be >= 2, got {self.particles}")
         if self.iterations < 1:

@@ -237,6 +237,41 @@ def mlp_loss(model: MlpModel, sample: np.ndarray, label: int) -> float:
     return float(-np.log(probs[label]))
 
 
+# query rows per block are sized so the (q, t, f) difference tensor holds
+# about this many float64 values (2 MiB), whatever the number of queries
+_BLOCK_VALUES = 1 << 18
+
+
+def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
+              queries: np.ndarray, k: int, skip_self: bool = False) -> np.ndarray:
+    """The one kNN rule: class ids voted by the k nearest training rows.
+
+    Squared Euclidean distances come from direct differences. Equal
+    distances favour the lower training-row index and tied votes the lowest
+    class id. skip_self=True is leave-one-out: queries are the training rows
+    themselves, and query i never counts training row i among its neighbours.
+    """
+    n_queries = queries.shape[0]
+    rows = max(1, _BLOCK_VALUES // train_x.size)
+    out = np.empty(n_queries, dtype=np.int64)
+    for start in range(0, n_queries, rows):
+        block = queries[start:start + rows]
+        q = block.shape[0]
+        diffs = block[:, None, :] - train_x[None, :, :]
+        sq_dist = np.einsum("qtf,qtf->qt", diffs, diffs)
+        # stable sort keeps lower train index first among exact distance ties
+        order = np.argsort(sq_dist, axis=1, kind="stable")
+        if skip_self:
+            own = np.arange(start, start + q)[:, None]
+            order = order[order != own].reshape(q, -1)
+        votes = train_y[order[:, :k]]
+        # one bincount over (query, class) cells; argmax takes the lowest tied class
+        cells = np.arange(q)[:, None] * n_classes + votes
+        counts = np.bincount(cells.ravel(), minlength=q * n_classes)
+        out[start:start + q] = np.argmax(counts.reshape(q, n_classes), axis=1)
+    return out
+
+
 def knn_predict(train: Dataset, cfg: KnnConfig, samples: Dataset) -> np.ndarray:
     """Majority vote over the k nearest training rows by Euclidean distance.
 
@@ -248,13 +283,4 @@ def knn_predict(train: Dataset, cfg: KnnConfig, samples: Dataset) -> np.ndarray:
             f"train has {train.n_features} features, queries have {samples.n_features}"
         )
     k = min(cfg.k_neighbors, train.n_samples)
-    diffs = samples.features[:, None, :] - train.features[None, :, :]
-    sq_dist = np.einsum("qtf,qtf->qt", diffs, diffs)
-    # stable sort keeps lower train index first among exact distance ties
-    order = np.argsort(sq_dist, axis=1, kind="stable")[:, :k]
-    votes = train.labels[order]
-    out = np.empty(samples.n_samples, dtype=np.int64)
-    for q in range(samples.n_samples):
-        counts = np.bincount(votes[q], minlength=train.n_classes)
-        out[q] = int(np.argmax(counts))
-    return out
+    return _knn_vote(train.features, train.labels, train.n_classes, samples.features, k)

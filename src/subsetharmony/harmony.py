@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsets import FeatureSubset
+from .subsets import FeatureSubset, check_subset_size
 
 PITCH_TOPOLOGIES = ("index", "column")
 
@@ -59,12 +59,7 @@ class HsConfig:
     pitch_topology: str = "index"
 
     def __post_init__(self) -> None:
-        if self.n_features < 1:
-            raise ValueError(f"n_features must be >= 1, got {self.n_features}")
-        if not 1 <= self.subset_size <= self.n_features:
-            raise ValueError(
-                f"subset_size must be in [1, {self.n_features}], got {self.subset_size}"
-            )
+        check_subset_size(self.n_features, self.subset_size)
         if self.hms < 1:
             raise ValueError(f"hms must be >= 1, got {self.hms}")
         if not 0.0 <= self.hmcr <= 1.0:

@@ -5,6 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def check_subset_size(n_features: int, subset_size: int) -> None:
+    """Reject an optimizer's search space unless 1 <= subset_size <= n_features."""
+    if n_features < 1:
+        raise ValueError(f"n_features must be >= 1, got {n_features}")
+    if not 1 <= subset_size <= n_features:
+        raise ValueError(f"subset_size must be in [1, {n_features}], got {subset_size}")
+
+
 @dataclass(frozen=True)
 class FeatureSubset:
     """A fixed-cardinality set of distinct feature column indices.

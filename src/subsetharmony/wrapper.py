@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .classifiers import KnnConfig, MlpConfig, knn_predict, mlp_predict, mlp_train
+from .classifiers import KnnConfig, MlpConfig, _knn_vote, knn_predict, mlp_predict, mlp_train
 from .dataset import Dataset, project, standardize, stratified_kfold, take_rows
 from .subsets import FeatureSubset
 
@@ -68,28 +68,6 @@ class EvaluationResult:
         if self.elapsed_seconds < 0.0:
             raise ValueError("elapsed_seconds must be non-negative")
         object.__setattr__(self, "per_fold_accuracy", tuple(self.per_fold_accuracy))
-
-
-class SubsetCache:
-    """Map from canonical subset key to EvaluationResult."""
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[int, ...], EvaluationResult] = {}
-
-    def get(self, key: tuple[int, ...]) -> EvaluationResult | None:
-        return self._entries.get(key)
-
-    def put(self, key: tuple[int, ...], result: EvaluationResult) -> None:
-        self._entries[key] = result
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple[int, ...]) -> bool:
-        return key in self._entries
 
 
 @dataclass(frozen=True)
@@ -180,11 +158,10 @@ class SubsetObjective:
     `unique_evaluations` counts actual scoring runs.
     """
 
-    def __init__(self, dataset: Dataset, config: ObjectiveConfig,
-                 cache: SubsetCache | None = None) -> None:
+    def __init__(self, dataset: Dataset, config: ObjectiveConfig) -> None:
         self.dataset = dataset
         self.config = config
-        self.cache = cache if cache is not None else SubsetCache()
+        self.cache: dict[tuple[int, ...], EvaluationResult] = {}
         self.calls = 0
 
     def __call__(self, subset: FeatureSubset) -> float:
@@ -195,7 +172,7 @@ class SubsetObjective:
         result = self.cache.get(subset.key)
         if result is None:
             result = self._score(subset)
-            self.cache.put(subset.key, result)
+            self.cache[subset.key] = result
         return result
 
     def _score(self, subset: FeatureSubset) -> EvaluationResult:
@@ -214,21 +191,16 @@ class SubsetObjective:
 def _loo_knn_correct(d: Dataset, subset: FeatureSubset, k_neighbors: int) -> int:
     sub = project(d, FeatureSubset(subset.key))
     x = sub.features
-    sq = np.einsum("ij,ij->i", x, x)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(dist, np.inf)
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k_neighbors]
-    votes = sub.labels[neighbors]
-    predicted = np.array(
-        [np.argmax(np.bincount(row, minlength=sub.n_classes)) for row in votes]
-    )
+    k = min(k_neighbors, sub.n_samples - 1)
+    predicted = _knn_vote(x, sub.labels, sub.n_classes, x, k, skip_self=True)
     return int((predicted == sub.labels).sum())
 
 
 def loo_knn_accuracy(d: Dataset, subset: FeatureSubset, k_neighbors: int = 1) -> float:
     """Leave-one-out kNN accuracy percent on the chosen columns.
 
-    Fully deterministic: no folds, no RNG. Tie handling matches knn_predict
+    Fully deterministic: no folds, no RNG. Each row is predicted by
+    knn_predict's rule from the other n-1 rows, with k clamped to n-1
     (equidistant neighbors prefer the lower sample index, tied votes the
     lowest class id), so exhaustive-search oracles are exactly repeatable.
     """
@@ -242,10 +214,9 @@ class LeaveOneOutObjective(SubsetObjective):
     that cross-validate on their own (pca_run) read its fold settings.
     """
 
-    def __init__(self, dataset: Dataset, k_neighbors: int = 1,
-                 cache: SubsetCache | None = None) -> None:
+    def __init__(self, dataset: Dataset, k_neighbors: int = 1) -> None:
         super().__init__(dataset, ObjectiveConfig(classifier="knn",
-                                                  knn=KnnConfig(k_neighbors)), cache)
+                                                  knn=KnnConfig(k_neighbors)))
 
     def _score(self, subset: FeatureSubset) -> EvaluationResult:
         start = time.perf_counter()

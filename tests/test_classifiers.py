@@ -3,7 +3,9 @@ import pytest
 
 from subsetharmony import Dataset, KnnConfig, MlpConfig, TrainingDivergedError
 from subsetharmony.classifiers import (
+    _BLOCK_VALUES,
     MlpModel,
+    _knn_vote,
     default_hidden_neurons,
     knn_predict,
     mlp_gradient,
@@ -198,3 +200,36 @@ class TestKnn:
         a = knn_predict(train, KnnConfig(k_neighbors=99), train)
         b = knn_predict(train, KnnConfig(k_neighbors=2), train)
         assert np.array_equal(a, b)
+
+
+def _single_block_vote(train_x, train_y, n_classes, queries, k, skip_self=False):
+    """Reference rule: one (q, t, f) tensor for all queries, a bincount per row."""
+    diffs = queries[:, None, :] - train_x[None, :, :]
+    sq_dist = np.einsum("qtf,qtf->qt", diffs, diffs)
+    if skip_self:
+        np.fill_diagonal(sq_dist, np.inf)
+    order = np.argsort(sq_dist, axis=1, kind="stable")[:, :k]
+    votes = train_y[order]
+    return np.array([np.argmax(np.bincount(row, minlength=n_classes)) for row in votes])
+
+
+class TestKnnBlocks:
+    def test_many_blocks_equal_single_block(self):
+        # grid values give many exact distance and vote ties near block edges
+        rng = np.random.default_rng(4)
+        n, n_features, n_classes = 400, 6, 3
+        x = rng.integers(0, 4, size=(n, n_features)) / 10.0
+        y = rng.integers(0, n_classes, size=n)
+        names = tuple(f"f{i}" for i in range(n_features))
+        classes = tuple(f"c{i}" for i in range(n_classes))
+        train = Dataset(x, y, names, classes)
+        queries = Dataset(rng.integers(0, 4, size=(350, n_features)) / 10.0,
+                          np.zeros(350, dtype=np.int64), names, classes)
+        rows_per_block = _BLOCK_VALUES // x.size
+        assert queries.n_samples > 2 * rows_per_block
+        for k in (1, 4, 7):
+            got = knn_predict(train, KnnConfig(k_neighbors=k), queries)
+            want = _single_block_vote(x, y, n_classes, queries.features, k)
+            assert np.array_equal(got, want)
+            loo = _knn_vote(x, y, n_classes, x, k, skip_self=True)
+            assert np.array_equal(loo, _single_block_vote(x, y, n_classes, x, k, skip_self=True))

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetharmony import (
     Dataset,
     EvaluationResult,
     FeatureSubset,
+    KnnConfig,
     LeaveOneOutObjective,
     ObjectiveConfig,
-    SubsetCache,
     SubsetObjective,
     accuracy,
     confidence_interval,
     evaluate_subset,
     loo_knn_accuracy,
 )
+from subsetharmony.classifiers import knn_predict
+from subsetharmony.dataset import take_rows
 from subsetharmony.synth import blob_dataset
 
 
@@ -77,20 +81,6 @@ class TestEvaluationResult:
             EvaluationResult(50.0, (50.0,), 1, 2, -1.0)
 
 
-class TestSubsetCache:
-    def test_operations(self):
-        cache = SubsetCache()
-        r = EvaluationResult(50.0, (50.0,), 1, 2, 0.0)
-        assert cache.get((0, 2)) is None
-        cache.put((0, 2), r)
-        assert cache.get((0, 2)) is r
-        assert (0, 2) in cache
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-        assert (0, 2) not in cache
-
-
 class TestEvaluateSubset:
     def test_separable_blobs_score_100(self, blobs):
         cfg = _knn_config(folds=3, fold_seed=7)
@@ -116,12 +106,11 @@ class TestEvaluateSubset:
             float(np.mean(r.per_fold_accuracy)))
 
     def test_cache_returns_verbatim_result(self, tiny8):
-        cache = SubsetCache()
-        obj = SubsetObjective(tiny8, _knn_config(folds=3, fold_seed=5), cache)
+        obj = SubsetObjective(tiny8, _knn_config(folds=3, fold_seed=5))
         first = obj.evaluate(FeatureSubset((1, 3, 6)))
         second = obj.evaluate(FeatureSubset((6, 1, 3)))
         assert second is first  # same object, elapsed_seconds included
-        assert len(cache) == 1
+        assert len(obj.cache) == 1
 
     def test_standardization_rescues_badly_scaled_feature(self):
         # signal lives on a tiny scale next to a huge-variance noise column;
@@ -178,7 +167,41 @@ class TestSubsetObjective:
             ObjectiveConfig(folds=1)
 
 
+@st.composite
+def _decimal_grid_datasets(draw):
+    """Few distinct multiples of 0.1, as a decimal CSV parses: many exact ties."""
+    n = draw(st.integers(3, 12))
+    n_features = draw(st.integers(1, 3))
+    n_classes = draw(st.integers(2, 3))
+    levels = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=4, unique=True))
+    cells = draw(st.lists(st.sampled_from(levels), min_size=n * n_features,
+                          max_size=n * n_features))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    features = np.array(cells, dtype=np.float64).reshape(n, n_features) / 10.0
+    return Dataset(features, np.array(labels), tuple(f"f{i}" for i in range(n_features)),
+                   tuple(f"c{i}" for i in range(n_classes)))
+
+
+def _explicit_loo_correct(d: Dataset, k: int) -> int:
+    """Leave each row out in turn and predict it with knn_predict."""
+    correct = 0
+    for i in range(d.n_samples):
+        rest = np.delete(np.arange(d.n_samples), i)
+        predicted = knn_predict(take_rows(d, rest), KnnConfig(k), take_rows(d, [i]))
+        correct += int(predicted[0] == d.labels[i])
+    return correct
+
+
 class TestLeaveOneOut:
+    @settings(max_examples=300, deadline=None)
+    @given(d=_decimal_grid_datasets(), data=st.data())
+    def test_matches_explicit_knn_predict_loop(self, d, data):
+        # k up to n + 2 exercises the clamp to the n - 1 rows left in
+        k = data.draw(st.integers(1, d.n_samples + 2))
+        subset = FeatureSubset(tuple(range(d.n_features)))
+        expected = accuracy(_explicit_loo_correct(d, k), d.n_samples)
+        assert loo_knn_accuracy(d, subset, k) == expected
+
     def test_hand_example(self):
         # 0 and 2 are mutual nearest neighbors (same class); 10 sits alone,
         # its nearest neighbor 2 has the other label -> 2/3 correct
