@@ -8,7 +8,6 @@ the same cross-validated wrapper on its transformed features.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .classifiers import _sigmoid
 # benchmark tracing patches take_rows and standardize here, so they stay imported
 from .dataset import Dataset, standardize, stratified_kfold, take_rows  # noqa: F401
-from .harmony import Harmony, RunHistory, random_subset
+from .harmony import Harmony, RunHistory, RunLog, random_subset
 from .subsets import FeatureSubset, check_subset_size
 from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, cross_validate
 
@@ -106,29 +105,21 @@ def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
     """Generational GA: tournament(2) selection, single-point crossover on
     sorted index lists with duplicate repair, per-gene mutation, elitism 1.
     """
-    start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     k, n = cfg.subset_size, cfg.n_features
+    log = RunLog(objective)
 
     population = [random_subset(n, k, rng) for _ in range(cfg.population)]
-    fitnesses = [float(objective(s)) for s in population]
-    evaluations = cfg.population
+    fitnesses = [log(s) for s in population]
 
     def tournament() -> FeatureSubset:
         i = int(rng.integers(cfg.population))
         j = int(rng.integers(cfg.population))
         return population[i] if fitnesses[i] >= fitnesses[j] else population[j]
 
-    best_idx = int(np.argmax(fitnesses))
-    best = Harmony(population[best_idx], fitnesses[best_idx])
-    best_trace: list[float] = []
-    worst_trace: list[float] = []
-    improved_trace: list[bool] = []
-
     for _ in range(cfg.generations):
-        elite_idx = int(np.argmax(fitnesses))
-        elite = population[elite_idx]
-        elite_fit = fitnesses[elite_idx]
+        # the run's best is always the population's first fittest member
+        elite = log.best
         children: list[FeatureSubset] = []
         while len(children) < cfg.population - 1:
             p1 = tournament()
@@ -145,28 +136,10 @@ def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
                     if unused:
                         genes[slot] = int(unused[rng.integers(len(unused))])
             children.append(FeatureSubset(tuple(genes)))
-        child_fits = [float(objective(c)) for c in children]
-        evaluations += len(children)
-        population = [elite] + children
-        fitnesses = [elite_fit] + child_fits
-
-        gen_best_idx = int(np.argmax(fitnesses))
-        improved = fitnesses[gen_best_idx] > best.fitness
-        if improved:
-            best = Harmony(population[gen_best_idx], fitnesses[gen_best_idx])
-        best_trace.append(best.fitness)
-        worst_trace.append(float(np.min(fitnesses)))
-        improved_trace.append(improved)
-
-    history = RunHistory(
-        best_fitness=tuple(best_trace),
-        worst_fitness=tuple(worst_trace),
-        replaced=tuple(improved_trace),
-        best=best,
-        evaluations=evaluations,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-    return best, history
+        population = [elite.subset] + children
+        fitnesses = [elite.fitness] + [log(c) for c in children]
+        log.end_iteration(min(fitnesses), log.best is not elite)
+    return log.result()
 
 
 def _repair_to_k(selected: np.ndarray, prob: np.ndarray, k: int) -> np.ndarray:
@@ -196,11 +169,12 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
 
     Velocities follow the classic update v <- w*v + c1*r1*(pbest-x) +
     c2*r2*(gbest-x), clamped to +/- velocity_clamp; sigmoid(v) is the
-    per-dimension inclusion probability.
+    per-dimension inclusion probability. gbest is the run's best, updated
+    as soon as any particle improves on it.
     """
-    start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     k, n = cfg.subset_size, cfg.n_features
+    log = RunLog(objective)
 
     positions = np.zeros((cfg.particles, n), dtype=bool)
     for p in range(cfg.particles):
@@ -208,21 +182,14 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     velocities = np.zeros((cfg.particles, n))
 
     def score(mask: np.ndarray) -> float:
-        return float(objective(FeatureSubset(tuple(int(i) for i in np.flatnonzero(mask)))))
+        return log(FeatureSubset(tuple(int(i) for i in np.flatnonzero(mask))))
 
     pbest_pos = positions.copy()
     pbest_fit = np.array([score(positions[p]) for p in range(cfg.particles)])
-    evaluations = cfg.particles
-    g = int(np.argmax(pbest_fit))
-    gbest_pos = pbest_pos[g].copy()
-    gbest_fit = float(pbest_fit[g])
-
-    best_trace: list[float] = []
-    worst_trace: list[float] = []
-    improved_trace: list[bool] = []
+    gbest_pos = pbest_pos[int(np.argmax(pbest_fit))].copy()
 
     for _ in range(cfg.iterations):
-        improved = False
+        start_best = log.best
         iter_fits = np.empty(cfg.particles)
         for p in range(cfg.particles):
             r1 = rng.random(n)
@@ -237,32 +204,16 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
             prob = _sigmoid(velocities[p])
             sampled = rng.random(n) < prob
             positions[p] = _repair_to_k(sampled, prob, k)
+            gbest = log.best
             fit = score(positions[p])
-            evaluations += 1
             iter_fits[p] = fit
             if fit > pbest_fit[p]:
                 pbest_fit[p] = fit
                 pbest_pos[p] = positions[p].copy()
-            if fit > gbest_fit:
-                gbest_fit = fit
+            if log.best is not gbest:
                 gbest_pos = positions[p].copy()
-                improved = True
-        best_trace.append(gbest_fit)
-        worst_trace.append(float(iter_fits.min()))
-        improved_trace.append(improved)
-
-    best = Harmony(
-        FeatureSubset(tuple(int(i) for i in np.flatnonzero(gbest_pos))), gbest_fit
-    )
-    history = RunHistory(
-        best_fitness=tuple(best_trace),
-        worst_fitness=tuple(worst_trace),
-        replaced=tuple(improved_trace),
-        best=best,
-        evaluations=evaluations,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-    return best, history
+        log.end_iteration(float(iter_fits.min()), log.best is not start_best)
+    return log.result()
 
 
 @dataclass(frozen=True, eq=False)

@@ -139,6 +139,21 @@ def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden, probs
 
 
+def _backprop(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+              x: np.ndarray, label: int) -> tuple[np.ndarray, ...]:
+    """One sample's forward pass and cross-entropy gradients.
+
+    Returns (probs, d_w1, d_b1, d_w2, d_b2): the step mlp_train applies and
+    mlp_gradient reports.
+    """
+    hidden = _sigmoid(x @ w1 + b1)
+    probs = _softmax(hidden @ w2 + b2)
+    d_logits = probs.copy()
+    d_logits[label] -= 1.0
+    d_hidden = (w2 @ d_logits) * hidden * (1.0 - hidden)
+    return probs, np.outer(x, d_hidden), d_hidden, np.outer(hidden, d_logits), d_logits
+
+
 def default_hidden_neurons(n_features: int, n_classes: int) -> int:
     return math.ceil((n_features + n_classes) / 2)
 
@@ -167,20 +182,14 @@ def mlp_train(train: Dataset, cfg: MlpConfig) -> MlpModel:
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for i in rng.permutation(train.n_samples):
-            x = X[i]
-            hidden = _sigmoid(x @ w1 + b1)
-            probs = _softmax(hidden @ w2 + b2)
+            probs, g1, gb1, g2, gb2 = _backprop(w1, b1, w2, b2, X[i], y[i])
             with np.errstate(divide="ignore"):
                 epoch_loss += -np.log(probs[y[i]])
 
-            d_logits = probs.copy()
-            d_logits[y[i]] -= 1.0
-            d_hidden = (w2 @ d_logits) * hidden * (1.0 - hidden)
-
-            v2 = mom * v2 - lr * np.outer(hidden, d_logits)
-            vb2 = mom * vb2 - lr * d_logits
-            v1 = mom * v1 - lr * np.outer(x, d_hidden)
-            vb1 = mom * vb1 - lr * d_hidden
+            v2 = mom * v2 - lr * g2
+            vb2 = mom * vb2 - lr * gb2
+            v1 = mom * v1 - lr * g1
+            vb1 = mom * vb1 - lr * gb1
             w2 += v2
             b2 += vb2
             w1 += v1
@@ -215,20 +224,13 @@ def mlp_probabilities(model: MlpModel, samples: Dataset) -> np.ndarray:
 def mlp_gradient(model: MlpModel, sample: np.ndarray, label: int) -> MlpGradients:
     """Analytic cross-entropy gradient for one sample.
 
-    Exposed so the backprop step can be checked against central finite
-    differences.
+    Exposed so the backprop step mlp_train applies can be checked against
+    central finite differences.
     """
     x = np.asarray(sample, dtype=np.float64)
-    hidden, probs = _forward(model, x)
-    d_logits = probs.copy()
-    d_logits[label] -= 1.0
-    d_hidden = (model.w_out @ d_logits) * hidden * (1.0 - hidden)
-    return MlpGradients(
-        w_hidden=np.outer(x, d_hidden),
-        b_hidden=d_hidden,
-        w_out=np.outer(hidden, d_logits),
-        b_out=d_logits,
-    )
+    _, d_w1, d_b1, d_w2, d_b2 = _backprop(
+        model.w_hidden, model.b_hidden, model.w_out, model.b_out, x, label)
+    return MlpGradients(w_hidden=d_w1, b_hidden=d_b1, w_out=d_w2, b_out=d_b2)
 
 
 def mlp_loss(model: MlpModel, sample: np.ndarray, label: int) -> float:

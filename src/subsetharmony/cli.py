@@ -19,6 +19,7 @@ from .classifiers import KnnConfig, MlpConfig
 from .dataset import Dataset, DatasetError, load_csv
 from .harmony import PITCH_TOPOLOGIES, HsConfig
 from .harness import (
+    DEFAULT_FRACTIONS,
     OptimizerConfig,
     compare_optimizers,
     emit_report,
@@ -179,7 +180,7 @@ def _build_parser() -> _Parser:
                         **kwargs)
     _add_common(p, reports=True, default_output="fractions_report.<format>")
     p.add_argument("--fractions", type=_percent_list,
-                   default=(15.0, 30.0, 45.0, 60.0, 75.0, 90.0),
+                   default=DEFAULT_FRACTIONS,
                    help="comma-separated percentages in (0,100]")
     _add_hs_flags(p)
 

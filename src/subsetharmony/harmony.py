@@ -12,7 +12,6 @@ entry only on strict fitness improvement.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -129,7 +128,6 @@ class RunHistory:
     replaced: tuple[bool, ...]
     best: Harmony
     evaluations: int
-    elapsed_seconds: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "best_fitness", tuple(self.best_fitness))
@@ -138,6 +136,36 @@ class RunHistory:
         seq = self.best_fitness
         if any(later < earlier for earlier, later in zip(seq, seq[1:])):
             raise ValueError("best-fitness sequence must be non-decreasing")
+
+
+class RunLog:
+    """The one record of an optimizer run; HS, GA and PSO score only through it.
+
+    Calling the log scores a subset with the objective, counts the call, and
+    keeps the first subset that reaches the highest fitness seen.
+    end_iteration appends one history row: the best fitness so far, the
+    iteration's worst fitness, and the optimizer's replaced/improved flag.
+    """
+
+    def __init__(self, objective) -> None:
+        self._objective = objective
+        self.calls = 0
+        self.best: Harmony | None = None
+        self._rows: list[tuple[float, float, bool]] = []
+
+    def __call__(self, subset: FeatureSubset) -> float:
+        fitness = float(self._objective(subset))
+        self.calls += 1
+        if self.best is None or fitness > self.best.fitness:
+            self.best = Harmony(subset, fitness)
+        return fitness
+
+    def end_iteration(self, worst: float, flag: bool) -> None:
+        self._rows.append((self.best.fitness, worst, flag))
+
+    def result(self) -> tuple[Harmony, RunHistory]:
+        best_fitness, worst_fitness, flags = zip(*self._rows)
+        return self.best, RunHistory(best_fitness, worst_fitness, flags, self.best, self.calls)
 
 
 def pitch_adjust(
@@ -255,31 +283,12 @@ def hs_run(cfg: HsConfig, objective) -> tuple[Harmony, RunHistory]:
     `objective` maps a FeatureSubset to an accuracy percent. Deterministic
     given cfg.seed; issues exactly hms + max_iterations objective calls.
     """
-    start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    memory = initialize_memory(cfg, objective, rng)
-    evaluations = cfg.hms
-    best = memory.best()
-    best_trace: list[float] = []
-    worst_trace: list[float] = []
-    replaced_trace: list[bool] = []
+    log = RunLog(objective)
+    memory = initialize_memory(cfg, log, rng)
     for _ in range(cfg.max_iterations):
         candidate_subset = improvise(memory, cfg, rng)
-        fitness = float(objective(candidate_subset))
-        evaluations += 1
-        candidate = Harmony(candidate_subset, fitness)
+        candidate = Harmony(candidate_subset, log(candidate_subset))
         replaced = replace_worst(memory, candidate)
-        if candidate.fitness > best.fitness:
-            best = candidate
-        best_trace.append(best.fitness)
-        worst_trace.append(memory.worst().fitness)
-        replaced_trace.append(replaced)
-    history = RunHistory(
-        best_fitness=tuple(best_trace),
-        worst_fitness=tuple(worst_trace),
-        replaced=tuple(replaced_trace),
-        best=best,
-        evaluations=evaluations,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-    return best, history
+        log.end_iteration(memory.worst().fitness, replaced)
+    return log.result()

@@ -1,6 +1,7 @@
 """Experiment driver: parameter grid, optimizer comparison, fraction sweep.
 
-Reports are plain dataclasses with CSV and Markdown emitters. CSV files are
+Reports are plain dataclasses. Each one becomes a single table of strings,
+which one writer renders as CSV and another as Markdown. CSV files are
 minimal (no quoting, "." decimals, LF line endings) so repeated emission of
 the same report is byte-identical.
 """
@@ -239,89 +240,66 @@ def compare_optimizers(
 
 # --- rendering ---
 
-def render_grid_csv(report: GridReport) -> str:
-    lines = ["iterations," + ",".join(str(h) for h in report.hms_values)]
-    for it, row in zip(report.iteration_values, report.cells):
-        lines.append(str(it) + "," + ",".join(_fmt_acc(v) for v in row))
-    return "\n".join(lines) + "\n"
+_COMPARISON_HEADER = ["optimizer", "subset_size", "accuracy_percent", "execution_seconds"]
+_FRACTIONS_HEADER = ["fraction_percent", "subset_size", "accuracy_percent"]
 
 
-def render_grid_markdown(report: GridReport) -> str:
-    header = "| iterations | " + " | ".join(str(h) for h in report.hms_values) + " |"
-    rule = "| --- |" + " --- |" * len(report.hms_values)
-    lines = [header, rule]
-    for r, (it, row) in enumerate(zip(report.iteration_values, report.cells)):
-        rendered = [
-            f"**{_fmt_acc(v)}**" if (r, c) == (report.best_row, report.best_col)
-            else _fmt_acc(v)
-            for c, v in enumerate(row)
-        ]
-        lines.append(f"| {it} | " + " | ".join(rendered) + " |")
-    return "\n".join(lines) + "\n"
+def _grid_table(report: GridReport):
+    header = ["iterations", *(str(h) for h in report.hms_values)]
+    body = [[str(it), *(_fmt_acc(v) for v in row)]
+            for it, row in zip(report.iteration_values, report.cells)]
+    # column 0 of the body holds the iteration labels
+    return header, body, (report.best_row, report.best_col + 1)
 
 
-def render_comparison_csv(report: ComparisonReport) -> str:
-    lines = ["optimizer,subset_size,accuracy_percent,execution_seconds"]
-    for row in report.rows:
-        lines.append(
-            f"{row.optimizer},{row.subset_size},"
-            f"{_fmt_acc(row.accuracy_percent)},{row.execution_seconds:.2f}"
-        )
-    return "\n".join(lines) + "\n"
+def _comparison_table(report: ComparisonReport):
+    body = [[row.optimizer, str(row.subset_size), _fmt_acc(row.accuracy_percent),
+             f"{row.execution_seconds:.2f}"] for row in report.rows]
+    return _COMPARISON_HEADER, body, None
 
 
-def render_comparison_markdown(report: ComparisonReport) -> str:
-    lines = [
-        "| optimizer | subset_size | accuracy_percent | execution_seconds |",
-        "| --- | --- | --- | --- |",
-    ]
-    for row in report.rows:
-        lines.append(
-            f"| {row.optimizer} | {row.subset_size} | "
-            f"{_fmt_acc(row.accuracy_percent)} | {row.execution_seconds:.2f} |"
-        )
-    return "\n".join(lines) + "\n"
+def _fractions_table(report: FractionSweepReport):
+    body = [[_fmt_fraction(pct), str(k), _fmt_acc(acc)] for pct, k, acc in zip(
+        report.fraction_percents, report.subset_sizes, report.accuracies)]
+    return _FRACTIONS_HEADER, body, None
 
 
-def render_fractions_csv(report: FractionSweepReport) -> str:
-    lines = ["fraction_percent,subset_size,accuracy_percent"]
-    for pct, k, acc in zip(
-        report.fraction_percents, report.subset_sizes, report.accuracies
-    ):
-        lines.append(f"{_fmt_fraction(pct)},{k},{_fmt_acc(acc)}")
-    return "\n".join(lines) + "\n"
-
-
-def render_fractions_markdown(report: FractionSweepReport) -> str:
-    lines = [
-        "| fraction_percent | subset_size | accuracy_percent |",
-        "| --- | --- | --- |",
-    ]
-    for pct, k, acc in zip(
-        report.fraction_percents, report.subset_sizes, report.accuracies
-    ):
-        lines.append(f"| {_fmt_fraction(pct)} | {k} | {_fmt_acc(acc)} |")
-    return "\n".join(lines) + "\n"
-
-
-_RENDERERS = {
-    (GridReport, "csv"): render_grid_csv,
-    (GridReport, "markdown"): render_grid_markdown,
-    (ComparisonReport, "csv"): render_comparison_csv,
-    (ComparisonReport, "markdown"): render_comparison_markdown,
-    (FractionSweepReport, "csv"): render_fractions_csv,
-    (FractionSweepReport, "markdown"): render_fractions_markdown,
+# report type -> (header, body rows, (row, column) of the body cell Markdown bolds)
+_TABLES = {
+    GridReport: _grid_table,
+    ComparisonReport: _comparison_table,
+    FractionSweepReport: _fractions_table,
 }
 
 
+def _csv_lines(header: list[str], body: list[list[str]], bold) -> list[str]:
+    return [",".join(row) for row in (header, *body)]
+
+
+def _markdown_lines(header: list[str], body: list[list[str]], bold) -> list[str]:
+    def line(cells):
+        return "| " + " | ".join(cells) + " |"
+
+    return [line(header), "|" + " --- |" * len(header)] + [
+        line([f"**{cell}**" if (r, c) == bold else cell for c, cell in enumerate(row)])
+        for r, row in enumerate(body)
+    ]
+
+
+_WRITERS = {"csv": _csv_lines, "markdown": _markdown_lines}
+
+
 def render_report(report, fmt: str = "csv") -> str:
-    try:
-        renderer = _RENDERERS[(type(report), fmt)]
-    except KeyError:
-        raise ValueError(
-            f"no {fmt!r} renderer for {type(report).__name__}"
-        ) from None
-    return renderer(report)
+    """Render a grid, comparison or fraction-sweep report as CSV or Markdown."""
+    table = _TABLES.get(type(report))
+    writer = _WRITERS.get(fmt)
+    if table is None or writer is None:
+        raise ValueError(f"no {fmt!r} renderer for {type(report).__name__}")
+    return "\n".join(writer(*table(report))) + "\n"
+
+
+def render_comparison_csv(report: ComparisonReport) -> str:
+    return render_report(report, "csv")
 
 
 def emit_report(report, fmt: str, path) -> None:
@@ -335,7 +313,10 @@ def emit_report(report, fmt: str, path) -> None:
 
 def _read_rows(path) -> list[list[str]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [row for row in csv.reader(fh) if row]
+        rows = [row for row in csv.reader(fh) if row]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError(f"a row's cell count differs from the header's: {path}")
+    return rows
 
 
 def read_grid_csv(path) -> GridReport:
@@ -351,8 +332,7 @@ def read_grid_csv(path) -> GridReport:
 
 def read_comparison_csv(path) -> ComparisonReport:
     rows = _read_rows(path)
-    expect = ["optimizer", "subset_size", "accuracy_percent", "execution_seconds"]
-    if not rows or rows[0] != expect:
+    if not rows or rows[0] != _COMPARISON_HEADER:
         raise ValueError(f"not a comparison report: {path}")
     parsed = tuple(
         ComparisonRow(row[0], int(row[1]), float(row[2]), float(row[3]))
@@ -363,7 +343,7 @@ def read_comparison_csv(path) -> ComparisonReport:
 
 def read_fractions_csv(path) -> FractionSweepReport:
     rows = _read_rows(path)
-    if not rows or rows[0] != ["fraction_percent", "subset_size", "accuracy_percent"]:
+    if not rows or rows[0] != _FRACTIONS_HEADER:
         raise ValueError(f"not a fraction sweep report: {path}")
     body = rows[1:]
     return FractionSweepReport(

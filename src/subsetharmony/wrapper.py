@@ -11,7 +11,6 @@ during a search.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -58,15 +57,12 @@ class EvaluationResult:
     per_fold_accuracy: tuple[float, ...]
     correct_count: int
     total_count: int
-    elapsed_seconds: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.accuracy_percent <= 100.0:
             raise ValueError(f"accuracy {self.accuracy_percent} outside [0,100]")
         if not 0 <= self.correct_count <= self.total_count:
             raise ValueError("correct_count outside [0, total_count]")
-        if self.elapsed_seconds < 0.0:
-            raise ValueError("elapsed_seconds must be non-negative")
         object.__setattr__(self, "per_fold_accuracy", tuple(self.per_fold_accuracy))
 
 
@@ -113,7 +109,6 @@ def cross_validate(
     `transform(train, test)`, if given, are fitted per fold on the training
     part only.
     """
-    start = time.perf_counter()
     folds = stratified_kfold(d, cfg.folds, cfg.fold_seed)
     correct = 0
     total = 0
@@ -139,7 +134,6 @@ def cross_validate(
         per_fold_accuracy=tuple(per_fold),
         correct_count=correct,
         total_count=total,
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 
@@ -219,7 +213,6 @@ class LeaveOneOutObjective(SubsetObjective):
                                                   knn=KnnConfig(k_neighbors)))
 
     def _score(self, subset: FeatureSubset) -> EvaluationResult:
-        start = time.perf_counter()
         n = self.dataset.n_samples
         correct = _loo_knn_correct(self.dataset, subset, self.config.knn.k_neighbors)
         acc = accuracy(correct, n)
@@ -228,5 +221,4 @@ class LeaveOneOutObjective(SubsetObjective):
             per_fold_accuracy=(acc,),
             correct_count=correct,
             total_count=n,
-            elapsed_seconds=time.perf_counter() - start,
         )

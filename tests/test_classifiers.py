@@ -98,6 +98,18 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError, match="epoch"):
             mlp_train(d, cfg)
 
+    def test_one_step_applies_mlp_gradient(self):
+        # one row, momentum 0: the single SGD step is exactly w - lr * gradient
+        d = Dataset(np.array([[0.3, -1.2, 2.0]]), np.array([1]), ("a", "b", "c"),
+                    ("x", "y"))
+        cfg = MlpConfig(hidden_neurons=4, learning_rate=0.3, momentum=0.0, epochs=1, seed=9)
+        trained = mlp_train(d, cfg)
+        init = MlpModel.initialize(3, 4, 2, seed=9)
+        g = mlp_gradient(init, d.features[0], 1)
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            want = getattr(init, name) - cfg.learning_rate * getattr(g, name)
+            assert np.array_equal(getattr(trained, name), want), name
+
     def test_single_class_rejected(self):
         d = Dataset(np.ones((3, 1)), np.zeros(3, dtype=np.int64), ("f",), ("only",))
         with pytest.raises(ValueError):

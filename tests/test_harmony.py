@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 
 from subsetharmony import (
     FeatureSubset,
+    GaConfig,
     Harmony,
     HarmonyMemory,
     HsConfig,
     LeaveOneOutObjective,
+    PsoConfig,
     RunHistory,
+    ga_run,
     hs_run,
     improvise,
     initialize_memory,
     pitch_adjust,
+    pso_run,
     random_subset,
     replace_worst,
 )
@@ -97,7 +101,7 @@ class TestTypes:
     def test_run_history_rejects_decreasing_best(self):
         with pytest.raises(ValueError):
             RunHistory((5.0, 4.0), (1.0, 1.0), (False, False),
-                       Harmony(FeatureSubset((0,)), 5.0), 2, 0.0)
+                       Harmony(FeatureSubset((0,)), 5.0), 2)
 
 
 class TestMemory:
@@ -288,24 +292,40 @@ class TestMemoryUpdates:
         assert m.worst().fitness == 10.5
 
 
+# optimizer -> (run function, config, objective calls, history rows)
+BUDGETS = {
+    "hs": (hs_run, HsConfig(n_features=25, subset_size=4, hms=6, max_iterations=40, seed=11),
+           6 + 40, 40),
+    "ga": (ga_run, GaConfig(n_features=25, subset_size=4, population=6, generations=8,
+                            seed=11), 6 + 8 * 5, 8),
+    "pso": (pso_run, PsoConfig(n_features=25, subset_size=4, particles=6, iterations=8,
+                               seed=11), 6 * (8 + 1), 8),
+}
+
+
 class TestHsRun:
-    def test_evaluation_budget_and_monotone_trace(self):
+    @pytest.mark.parametrize("name", sorted(BUDGETS))
+    def test_evaluation_budget_and_monotone_trace(self, name):
+        run, cfg, budget, rows = BUDGETS[name]
         calls = []
+
+        def score(key):
+            return float(sum(key) % 97)
 
         def spy(s):
             calls.append(s.key)
-            return float(sum(s.indices) % 97)
+            return score(s.key)
 
-        cfg = HsConfig(n_features=25, subset_size=4, hms=6, max_iterations=40,
-                       seed=11)
-        best, hist = hs_run(cfg, spy)
-        assert hist.evaluations == 6 + 40 == len(calls)
-        assert len(hist.best_fitness) == 40
+        best, hist = run(cfg, spy)
+        assert hist.evaluations == budget == len(calls)
+        assert len(hist.best_fitness) == rows
         assert all(b2 >= b1 for b1, b2 in zip(hist.best_fitness,
                                               hist.best_fitness[1:]))
         assert hist.best_fitness[-1] == best.fitness == hist.best.fitness
         # the run's best is at least every fitness it ever saw
-        assert best.fitness == max(float(sum(k) % 97) for k in calls)
+        assert best.fitness == max(score(k) for k in calls)
+        # and it is the first subset scored at that fitness
+        assert best.subset.key == next(k for k in calls if score(k) == best.fitness)
 
     def test_deterministic_given_seed(self, tiny8):
         cfg = HsConfig(n_features=8, subset_size=3, hms=5, max_iterations=30,

@@ -254,3 +254,14 @@ class TestEmitAndParse:
             read_comparison_csv(path)
         with pytest.raises(ValueError):
             read_fractions_csv(path)
+        # a row with fewer cells than the header
+        short_rows = (
+            (read_grid_csv, "iterations,4,6\n5,70.00,71.00\n10,72.00\n"),
+            (read_comparison_csv,
+             "optimizer,subset_size,accuracy_percent,execution_seconds\nHS,3,90.00\n"),
+            (read_fractions_csv, "fraction_percent,subset_size,accuracy_percent\n25,2\n"),
+        )
+        for reader, text in short_rows:
+            path.write_text(text)
+            with pytest.raises(ValueError, match="x.csv"):
+                reader(path)

@@ -9,6 +9,7 @@ from subsetharmony import (
     FeatureSubset,
     KnnConfig,
     LeaveOneOutObjective,
+    MlpConfig,
     ObjectiveConfig,
     SubsetObjective,
     accuracy,
@@ -74,11 +75,9 @@ class TestConfidenceInterval:
 class TestEvaluationResult:
     def test_validation(self):
         with pytest.raises(ValueError):
-            EvaluationResult(101.0, (100.0,), 1, 1, 0.0)
+            EvaluationResult(101.0, (100.0,), 1, 1)
         with pytest.raises(ValueError):
-            EvaluationResult(50.0, (50.0,), 3, 2, 0.0)
-        with pytest.raises(ValueError):
-            EvaluationResult(50.0, (50.0,), 1, 2, -1.0)
+            EvaluationResult(50.0, (50.0,), 3, 2)
 
 
 class TestEvaluateSubset:
@@ -105,11 +104,17 @@ class TestEvaluateSubset:
         assert r.accuracy_percent == pytest.approx(
             float(np.mean(r.per_fold_accuracy)))
 
+    def test_repeated_evaluation_is_equal(self, tiny8):
+        s = FeatureSubset((0, 5, 7))
+        for cfg in (_knn_config(folds=3, fold_seed=5),
+                    ObjectiveConfig(mlp=MlpConfig(epochs=3), folds=2)):
+            assert evaluate_subset(tiny8, s, cfg) == evaluate_subset(tiny8, s, cfg)
+
     def test_cache_returns_verbatim_result(self, tiny8):
         obj = SubsetObjective(tiny8, _knn_config(folds=3, fold_seed=5))
         first = obj.evaluate(FeatureSubset((1, 3, 6)))
         second = obj.evaluate(FeatureSubset((6, 1, 3)))
-        assert second is first  # same object, elapsed_seconds included
+        assert second is first  # the cached object itself, not a re-score
         assert len(obj.cache) == 1
 
     def test_standardization_rescues_badly_scaled_feature(self):
