@@ -12,6 +12,7 @@ as a fast objective in tests and desk-scale experiments.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,19 +119,14 @@ class MlpGradients:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never overflows
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
 
 
 def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,66 +135,129 @@ def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden, probs
 
 
-def _backprop(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
-              x: np.ndarray, label: int) -> tuple[np.ndarray, ...]:
-    """One sample's forward pass and cross-entropy gradients.
+def _flatten(model: MlpModel) -> np.ndarray:
+    """One network's parameters as one vector, in _layers order."""
+    return np.concatenate([model.w_hidden.ravel(), model.b_hidden,
+                           model.w_out.ravel(), model.b_out])
 
-    Returns (probs, d_w1, d_b1, d_w2, d_b2): the step mlp_train applies and
-    mlp_gradient reports.
+
+def _layers(flat: np.ndarray, dims: tuple[int, int, int]) -> list[np.ndarray]:
+    """Views of stacked (B, P) parameter rows as w1 (B, f, h), b1 (B, 1, h),
+    w2 (B, h, c) and b2 (B, 1, c), for dims = (f, h, c)."""
+    f, h, c = dims
+    views, start = [], 0
+    for rows, cols in ((f, h), (1, h), (h, c), (1, c)):
+        views.append(flat[:, start:start + rows * cols].reshape(-1, rows, cols))
+        start += rows * cols
+    return views
+
+
+def _backprop(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+              x: np.ndarray, target: np.ndarray, grads: list[np.ndarray],
+              probs: np.ndarray) -> None:
+    """Forward pass and cross-entropy gradients of B stacked networks, one sample each.
+
+    The weights are _layers views; samples are row vectors (B, 1, f) with
+    one-hot targets (B, 1, c). Writes the softmax output into probs and the
+    gradients into grads (_layers views shaped like the weights): the step
+    training applies and, at B=1, what mlp_gradient reports.
     """
     hidden = _sigmoid(x @ w1 + b1)
-    probs = _softmax(hidden @ w2 + b2)
-    d_logits = probs.copy()
-    d_logits[label] -= 1.0
-    d_hidden = (w2 @ d_logits) * hidden * (1.0 - hidden)
-    return probs, np.outer(x, d_hidden), d_hidden, np.outer(hidden, d_logits), d_logits
+    _softmax(hidden @ w2 + b2, out=probs)
+    d_w1, d_b1, d_w2, d_b2 = grads
+    np.subtract(probs, target, out=d_b2)
+    np.multiply((w2 @ d_b2.swapaxes(1, 2)).swapaxes(1, 2) * hidden, 1.0 - hidden, out=d_b1)
+    np.multiply(x.swapaxes(1, 2), d_b1, out=d_w1)
+    np.multiply(hidden.swapaxes(1, 2), d_b2, out=d_w2)
+
+
+def _head(w: np.ndarray, v: np.ndarray, g: np.ndarray, k: int,
+          dims: tuple[int, int, int]) -> tuple:
+    """The first k networks of stacked weights w, momentum v and gradients g, as views."""
+    w, v, g = w[:k], v[:k], g[:k]
+    return w, v, g, _layers(w, dims), _layers(g, dims)
+
+
+def _sgd_step(head: tuple, x: np.ndarray, target: np.ndarray, probs: np.ndarray,
+              lr: float, momentum: float) -> None:
+    """One online step of the networks in head: v <- momentum*v - lr*grad, w <- w + v."""
+    w, v, g, w_layers, g_layers = head
+    _backprop(*w_layers, x, target, g_layers, probs)
+    np.multiply(v, momentum, out=v)
+    v -= lr * g
+    w += v
 
 
 def default_hidden_neurons(n_features: int, n_classes: int) -> int:
     return math.ceil((n_features + n_classes) / 2)
 
 
-def mlp_train(train: Dataset, cfg: MlpConfig) -> MlpModel:
-    """Train by online backprop with momentum; deterministic given cfg.seed.
+def mlp_train_many(trains: Sequence[Dataset], cfg: MlpConfig) -> list[MlpModel]:
+    """Train one network per dataset, all in lockstep; deterministic given cfg.seed.
 
-    Raises TrainingDivergedError naming the epoch if the epoch loss stops
-    being finite.
+    Each network is bit for bit the one mlp_train gives on its dataset alone:
+    it draws its initial weights and then one shuffle per epoch from its own
+    default_rng(cfg.seed) stream, and takes one online step per row. The
+    networks are stacked as (B, ...) arrays so that each numpy call steps all
+    of them. A network with fewer rows sits out the last steps of each epoch,
+    its weights and momentum untouched.
+
+    Raises TrainingDivergedError naming the earliest epoch at which any
+    network's epoch loss stops being finite.
     """
-    if train.n_classes < 2:
-        raise ValueError(f"need >= 2 classes to train, got {train.n_classes}")
-    hidden_n = cfg.hidden_neurons or default_hidden_neurons(train.n_features, train.n_classes)
-    # one generator: weight init first, epoch shuffles continue the stream
-    rng = np.random.default_rng(cfg.seed)
-    model = MlpModel._draw(rng, train.n_features, hidden_n, train.n_classes)
-    w1 = model.w_hidden.copy()
-    b1 = model.b_hidden.copy()
-    w2 = model.w_out.copy()
-    b2 = model.b_out.copy()
-    v1, vb1 = np.zeros_like(w1), np.zeros_like(b1)
-    v2, vb2 = np.zeros_like(w2), np.zeros_like(b2)
+    n_features, n_classes = trains[0].n_features, trains[0].n_classes
+    if n_classes < 2:
+        raise ValueError(f"need >= 2 classes to train, got {n_classes}")
+    if any(t.n_features != n_features or t.n_classes != n_classes for t in trains):
+        raise ValueError("networks trained in lockstep need equal feature and class counts")
+    dims = (n_features, cfg.hidden_neurons or default_hidden_neurons(n_features, n_classes),
+            n_classes)
+    # longest first, so the networks still stepping at any step are a prefix
+    order = sorted(range(len(trains)), key=lambda b: -trains[b].n_samples)
+    sizes = [trains[b].n_samples for b in order]
+    # one generator per network: weight init first, epoch shuffles continue the stream
+    rngs = [np.random.default_rng(cfg.seed) for _ in order]
+    w = np.stack([_flatten(MlpModel._draw(rng, *dims)) for rng in rngs])
+    v, g = np.zeros_like(w), np.zeros_like(w)
+    live = [sum(n > t for n in sizes) for t in range(sizes[0])]
+    heads = {k: _head(w, v, g, k, dims) for k in set(live)}
 
-    X, y = train.features, train.labels
-    lr, mom = cfg.learning_rate, cfg.momentum
+    # an epoch's samples, one-hot targets and softmax outputs: (step, network, 1, ...)
+    x = np.zeros((sizes[0], len(order), 1, n_features))
+    labels = np.zeros((sizes[0], len(order)), dtype=np.int64)
+    probs = np.ones((sizes[0], len(order), 1, n_classes))
+    one_hot = np.eye(n_classes)
     for epoch in range(cfg.epochs):
-        epoch_loss = 0.0
-        for i in rng.permutation(train.n_samples):
-            probs, g1, gb1, g2, gb2 = _backprop(w1, b1, w2, b2, X[i], y[i])
-            with np.errstate(divide="ignore"):
-                epoch_loss += -np.log(probs[y[i]])
-
-            v2 = mom * v2 - lr * g2
-            vb2 = mom * vb2 - lr * gb2
-            v1 = mom * v1 - lr * g1
-            vb1 = mom * vb1 - lr * gb1
-            w2 += v2
-            b2 += vb2
-            w1 += v1
-            b1 += vb1
-        if not np.isfinite(epoch_loss):
+        for slot, (b, rng) in enumerate(zip(order, rngs)):
+            perm = rng.permutation(sizes[slot])
+            x[:sizes[slot], slot, 0] = trains[b].features[perm]
+            labels[:sizes[slot], slot] = trains[b].labels[perm]
+        target = one_hot[labels][:, :, None]
+        for t, k in enumerate(live):
+            _sgd_step(heads[k], x[t, :k], target[t, :k], probs[t, :k],
+                      cfg.learning_rate, cfg.momentum)
+        # a sum of -log p(label) is finite iff every p(label) > 0; skipped
+        # steps keep p = 1
+        if not ((probs * target).sum(axis=-1) > 0).all():
             raise TrainingDivergedError(
                 f"training loss became non-finite at epoch {epoch}"
             )
-    return MlpModel(w1, b1, w2, b2)
+    w1, b1, w2, b2 = _layers(w, dims)
+    models = [None] * len(order)
+    for slot, b in enumerate(order):
+        models[b] = MlpModel(w1[slot], b1[slot, 0], w2[slot], b2[slot, 0])
+    return models
+
+
+def mlp_train(train: Dataset, cfg: MlpConfig) -> MlpModel:
+    """Train by online backprop with momentum; deterministic given cfg.seed.
+
+    The one-network case of mlp_train_many. Raises TrainingDivergedError
+    naming the epoch if the epoch loss stops being finite; when
+    mlp_train_many trains several networks, the error names the earliest
+    epoch at which any of them diverges.
+    """
+    return mlp_train_many([train], cfg)[0]
 
 
 def mlp_predict(model: MlpModel, samples: Dataset) -> np.ndarray:
@@ -211,26 +270,20 @@ def mlp_predict(model: MlpModel, samples: Dataset) -> np.ndarray:
     return np.argmax(probs, axis=1).astype(np.int64)
 
 
-def mlp_probabilities(model: MlpModel, samples: Dataset) -> np.ndarray:
-    """Softmax class probabilities per sample (rows sum to 1)."""
-    if samples.n_features != model.n_features:
-        raise ValueError(
-            f"model expects {model.n_features} features, got {samples.n_features}"
-        )
-    _, probs = _forward(model, samples.features)
-    return probs
-
-
 def mlp_gradient(model: MlpModel, sample: np.ndarray, label: int) -> MlpGradients:
     """Analytic cross-entropy gradient for one sample.
 
     Exposed so the backprop step mlp_train applies can be checked against
-    central finite differences.
+    central finite differences: it is that step at B=1.
     """
-    x = np.asarray(sample, dtype=np.float64)
-    _, d_w1, d_b1, d_w2, d_b2 = _backprop(
-        model.w_hidden, model.b_hidden, model.w_out, model.b_out, x, label)
-    return MlpGradients(w_hidden=d_w1, b_hidden=d_b1, w_out=d_w2, b_out=d_b2)
+    dims = (model.n_features, model.hidden_neurons, model.n_classes)
+    w = _flatten(model)[None]
+    g = np.empty_like(w)
+    x = np.asarray(sample, dtype=np.float64).reshape(1, 1, -1)
+    target = np.eye(model.n_classes)[[[label]]]
+    _backprop(*_layers(w, dims), x, target, _layers(g, dims), np.empty_like(target))
+    d_w1, d_b1, d_w2, d_b2 = _layers(g, dims)
+    return MlpGradients(w_hidden=d_w1[0], b_hidden=d_b1[0, 0], w_out=d_w2[0], b_out=d_b2[0, 0])
 
 
 def mlp_loss(model: MlpModel, sample: np.ndarray, label: int) -> float:

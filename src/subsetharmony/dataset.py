@@ -1,4 +1,4 @@
-"""Dataset model, CSV ingestion, splitting, k-fold generation and projection."""
+"""Dataset model, CSV ingestion, stratified k-fold generation and projection."""
 
 from __future__ import annotations
 
@@ -76,18 +76,6 @@ class Dataset:
     @property
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_classes)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/test split request: stratified, seeded, fraction in (0, 1)."""
-
-    train_fraction: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0,1), got {self.train_fraction}")
 
 
 @dataclass(frozen=True)
@@ -214,33 +202,6 @@ def take_rows(d: Dataset, indices: np.ndarray) -> Dataset:
         feature_names=d.feature_names,
         class_names=d.class_names,
     )
-
-
-def train_test_split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Stratified, seeded partition into train and test parts.
-
-    Per class: shuffle, then put round(fraction * class_size) samples in the
-    train part, clamped so both parts stay non-empty. Class proportions are
-    preserved within one sample per class.
-    """
-    rng = np.random.default_rng(spec.seed)
-    train_idx: list[np.ndarray] = []
-    test_idx: list[np.ndarray] = []
-    for c in range(d.n_classes):
-        members = np.flatnonzero(d.labels == c)
-        if len(members) < 2:
-            raise DatasetError(
-                f"class {d.class_names[c]!r} has {len(members)} sample(s); "
-                "need at least 2 to split"
-            )
-        shuffled = members[rng.permutation(len(members))]
-        n_train = int(round(spec.train_fraction * len(members)))
-        n_train = min(max(n_train, 1), len(members) - 1)
-        train_idx.append(shuffled[:n_train])
-        test_idx.append(shuffled[n_train:])
-    train = np.sort(np.concatenate(train_idx))
-    test = np.sort(np.concatenate(test_idx))
-    return take_rows(d, train), take_rows(d, test)
 
 
 def stratified_kfold(d: Dataset, k: int, seed: int = 0) -> FoldAssignment:

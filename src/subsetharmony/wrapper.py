@@ -17,7 +17,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .classifiers import KnnConfig, MlpConfig, _knn_vote, knn_predict, mlp_predict, mlp_train
+from .classifiers import KnnConfig, MlpConfig, _knn_vote, knn_predict, mlp_predict, mlp_train_many
+# not called here: perfbench/tracing.py still resolves and patches wrapper.mlp_train
+from .classifiers import mlp_train  # noqa: F401
 from .dataset import Dataset, project, standardize, stratified_kfold, take_rows
 from .subsets import FeatureSubset
 
@@ -89,14 +91,6 @@ class ObjectiveConfig:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
 
 
-def fit_predict(train: Dataset, test: Dataset, cfg: ObjectiveConfig) -> np.ndarray:
-    """Train the configured classifier and predict the test labels."""
-    if cfg.classifier == "mlp":
-        model = mlp_train(train, cfg.mlp)
-        return mlp_predict(model, test)
-    return knn_predict(train, cfg.knn, test)
-
-
 def cross_validate(
     d: Dataset,
     cfg: ObjectiveConfig,
@@ -107,12 +101,11 @@ def cross_validate(
     The fold assignment depends only on the labels and cfg.fold_seed, so
     every caller is scored against the same folds. Standardization and then
     `transform(train, test)`, if given, are fitted per fold on the training
-    part only.
+    part only. The MLP folds train in lockstep (mlp_train_many), each to
+    the bits it would reach alone.
     """
     folds = stratified_kfold(d, cfg.folds, cfg.fold_seed)
-    correct = 0
-    total = 0
-    per_fold: list[float] = []
+    pairs = []
     for f in range(cfg.folds):
         train = take_rows(d, folds.train_indices(f))
         test = take_rows(d, folds.test_indices(f))
@@ -120,7 +113,16 @@ def cross_validate(
             train, test = standardize(train, test)
         if transform is not None:
             train, test = transform(train, test)
-        predicted = fit_predict(train, test, cfg)
+        pairs.append((train, test))
+    if cfg.classifier == "mlp":
+        models = mlp_train_many([train for train, _ in pairs], cfg.mlp)
+        predictions = [mlp_predict(model, test) for model, (_, test) in zip(models, pairs)]
+    else:
+        predictions = [knn_predict(train, cfg.knn, test) for train, test in pairs]
+    correct = 0
+    total = 0
+    per_fold: list[float] = []
+    for predicted, (_, test) in zip(predictions, pairs):
         fold_correct = int((predicted == test.labels).sum())
         per_fold.append(accuracy(fold_correct, test.n_samples))
         correct += fold_correct

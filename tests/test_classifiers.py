@@ -1,19 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subsetharmony import Dataset, KnnConfig, MlpConfig, TrainingDivergedError
+from subsetharmony import (
+    Dataset,
+    KnnConfig,
+    MlpConfig,
+    ObjectiveConfig,
+    TrainingDivergedError,
+)
 from subsetharmony.classifiers import (
     _BLOCK_VALUES,
     MlpModel,
+    _forward,
+    _head,
     _knn_vote,
+    _sgd_step,
+    _sigmoid,
     default_hidden_neurons,
     knn_predict,
     mlp_gradient,
     mlp_loss,
     mlp_predict,
-    mlp_probabilities,
     mlp_train,
+    mlp_train_many,
 )
+from subsetharmony.dataset import standardize, stratified_kfold, take_rows
+from subsetharmony.synth import blob_dataset
+from subsetharmony.wrapper import cross_validate
 
 
 def _xor() -> Dataset:
@@ -161,14 +176,14 @@ class TestPrediction:
         )
         d = Dataset(np.array([[1.0, -2.0]]), np.array([0]), ("a", "b"),
                     ("c0", "c1", "c2", "c3"))
-        probs = mlp_probabilities(model, d)
+        _, probs = _forward(model, d.features)
         assert np.allclose(probs, 0.25)
         assert mlp_predict(model, d)[0] == 0
 
     def test_probability_rows_sum_to_one(self):
         d = _xor()
         model = mlp_train(d, MlpConfig(hidden_neurons=3, epochs=5, seed=2))
-        probs = mlp_probabilities(model, d)
+        _, probs = _forward(model, d.features)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_feature_mismatch_rejected(self):
@@ -245,3 +260,131 @@ class TestKnnBlocks:
             assert np.array_equal(got, want)
             loo = _knn_vote(x, y, n_classes, x, k, skip_self=True)
             assert np.array_equal(loo, _single_block_vote(x, y, n_classes, x, k, skip_self=True))
+
+
+def _piecewise_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _sequential_train(train: Dataset, cfg: MlpConfig) -> MlpModel:
+    """Reference: one network, one sample per step, one weight array per layer."""
+    hidden_n = cfg.hidden_neurons or default_hidden_neurons(train.n_features, train.n_classes)
+    rng = np.random.default_rng(cfg.seed)
+    init = MlpModel._draw(rng, train.n_features, hidden_n, train.n_classes)
+    w = [init.w_hidden.copy(), init.b_hidden.copy(), init.w_out.copy(), init.b_out.copy()]
+    v = [np.zeros_like(a) for a in w]
+    for _ in range(cfg.epochs):
+        for i in rng.permutation(train.n_samples):
+            x, label = train.features[i], train.labels[i]
+            hidden = _piecewise_sigmoid(x @ w[0] + w[1])
+            logits = hidden @ w[2] + w[3]
+            e = np.exp(logits - logits.max())
+            d_logits = e / e.sum()
+            d_logits[label] -= 1.0
+            d_hidden = (w[2] @ d_logits) * hidden * (1.0 - hidden)
+            grads = (np.outer(x, d_hidden), d_hidden, np.outer(hidden, d_logits), d_logits)
+            for j, g in enumerate(grads):
+                v[j] = cfg.momentum * v[j] - cfg.learning_rate * g
+                w[j] += v[j]
+    return MlpModel(*w)
+
+
+def _assert_same_bits(a: MlpModel, b: MlpModel) -> None:
+    for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _rows(d: Dataset, n: int, seed: int) -> Dataset:
+    return take_rows(d, np.sort(np.random.default_rng(seed).permutation(d.n_samples)[:n]))
+
+
+class TestLockstep:
+    def test_equals_sequential_reference(self):
+        blobs = blob_dataset(n_per_class=12, n_features=4, n_classes=3, seed=5)
+        for d, cfg in ((_xor(), MlpConfig(hidden_neurons=4, epochs=40, seed=1)),
+                       (blobs, MlpConfig(epochs=6, momentum=0.8, seed=3)),
+                       (blobs, MlpConfig(hidden_neurons=1, epochs=3, seed=0))):
+            _assert_same_bits(mlp_train(d, cfg), _sequential_train(d, cfg))
+
+    def test_member_bits_do_not_depend_on_the_batch(self):
+        d = blob_dataset(n_per_class=20, n_features=3, n_classes=2, seed=8)
+        trains = [_rows(d, n, seed) for seed, n in enumerate((37, 39, 38, 39))]
+        cfg = MlpConfig(epochs=4, seed=6)
+        alone = [mlp_train(t, cfg) for t in trains]
+        for batch in (trains, trains[::-1]):
+            together = mlp_train_many(batch, cfg)
+            for model, t in zip(together, batch):
+                _assert_same_bits(model, alone[trains.index(t)])
+
+    def test_skipped_step_leaves_member_untouched(self):
+        # the longest member steps alone: the others keep weights and momentum
+        dims = (3, 2, 2)
+        rng = np.random.default_rng(0)
+        w, v = rng.normal(size=(3, 14)), rng.normal(size=(3, 14))
+        g = np.zeros_like(w)
+        before_w, before_v = w.copy(), v.copy()
+        x = rng.normal(size=(3, 1, 3))
+        target = np.eye(2)[[[1], [0], [1]]]
+        probs = np.ones((3, 1, 2))
+        _sgd_step(_head(w, v, g, 1, dims), x[:1], target[:1], probs[:1], 0.3, 0.4)
+        assert not np.array_equal(w[0], before_w[0])
+        assert not np.array_equal(v[0], before_v[0])
+        assert np.array_equal(w[1:], before_w[1:])
+        assert np.array_equal(v[1:], before_v[1:])
+        assert (probs[1:] == 1.0).all()
+
+    def test_cross_validate_equals_sequential_folds(self):
+        # 31 rows per class over 3 folds: train sizes 60, 63 and 63
+        d = blob_dataset(n_per_class=31, n_features=3, n_classes=3, seed=2)
+        cfg = ObjectiveConfig(mlp=MlpConfig(epochs=5, seed=4), folds=3, fold_seed=1)
+        folds = stratified_kfold(d, 3, 1)
+        pairs = [standardize(take_rows(d, folds.train_indices(f)),
+                             take_rows(d, folds.test_indices(f))) for f in range(3)]
+        assert sorted(train.n_samples for train, _ in pairs) == [60, 63, 63]
+        references = [_sequential_train(train, cfg.mlp) for train, _ in pairs]
+        for model, reference in zip(mlp_train_many([t for t, _ in pairs], cfg.mlp), references):
+            _assert_same_bits(model, reference)
+        correct = [int((mlp_predict(m, test) == test.labels).sum())
+                   for m, (_, test) in zip(references, pairs)]
+        result = cross_validate(d, cfg)
+        assert result.correct_count == sum(correct)
+        assert result.per_fold_accuracy == tuple(
+            100.0 * c / test.n_samples for c, (_, test) in zip(correct, pairs))
+
+    def test_divergence_names_the_earliest_epoch_of_any_fold(self):
+        rng = np.random.default_rng(4)
+        d = Dataset(rng.normal(size=(30, 2)), np.arange(30) % 2, ("a", "b"), ("x", "y"))
+        cfg = ObjectiveConfig(mlp=MlpConfig(hidden_neurons=4, learning_rate=25.0, momentum=0.9,
+                                            epochs=200, seed=0), folds=3, fold_seed=0)
+        folds = stratified_kfold(d, 3, 0)
+        epochs = []
+        with np.errstate(all="ignore"):
+            for f in range(3):
+                train, _ = standardize(take_rows(d, folds.train_indices(f)),
+                                       take_rows(d, folds.test_indices(f)))
+                with pytest.raises(TrainingDivergedError) as err:
+                    mlp_train(train, cfg.mlp)
+                epochs.append(int(str(err.value).rsplit(" ", 1)[1]))
+            # the first fold diverges last, so fold-by-fold training would name it
+            assert epochs[0] > min(epochs)
+            with pytest.raises(TrainingDivergedError, match=f"at epoch {min(epochs)}$"):
+                cross_validate(d, cfg)
+
+    def test_mixed_shapes_rejected(self):
+        d = _xor()
+        wider = Dataset(np.ones((4, 3)), d.labels, ("a", "b", "c"), d.class_names)
+        with pytest.raises(ValueError, match="equal feature and class counts"):
+            mlp_train_many([d, wider], MlpConfig(epochs=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                    min_size=1, max_size=20))
+    def test_sigmoid_equals_piecewise_form(self, values):
+        z = np.array(values)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_sigmoid(z), _piecewise_sigmoid(z), equal_nan=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import subsetharmony as sh
-from subsetharmony import Dataset, DatasetError, FeatureSubset, SplitSpec
+from subsetharmony import Dataset, DatasetError, FeatureSubset
 
 
 def _simple_csv(tmp_path, text, name="d.csv"):
@@ -115,51 +115,6 @@ class TestLoadCsv:
     def test_write_rejects_name_clash(self, tiny8, tmp_path):
         with pytest.raises(DatasetError, match="clashes"):
             sh.write_csv(tiny8, tmp_path / "x.csv", label_column="f0")
-
-
-class TestSplit:
-    def test_split_spec_validation(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                SplitSpec(train_fraction=bad, seed=0)
-
-    def test_two_thirds_split_counts(self):
-        d = sh.blob_dataset(n_per_class=51, n_features=3, n_classes=2, seed=0)
-        train, test = sh.train_test_split(d, SplitSpec(train_fraction=2 / 3, seed=5))
-        assert train.n_samples == 68 and test.n_samples == 34
-        assert list(train.class_counts) == [34, 34]
-        assert list(test.class_counts) == [17, 17]
-
-    def test_split_covers_disjointly(self):
-        d = sh.blob_dataset(n_per_class=10, n_features=2, seed=1)
-        train, test = sh.train_test_split(d, SplitSpec(train_fraction=0.7, seed=2))
-        assert train.n_samples + test.n_samples == d.n_samples
-        rows = {tuple(r) for r in train.features} | {tuple(r) for r in test.features}
-        assert len(rows) == d.n_samples
-
-    def test_split_deterministic_by_seed(self):
-        d = sh.blob_dataset(n_per_class=12, n_features=2, seed=1)
-        a1, b1 = sh.train_test_split(d, SplitSpec(train_fraction=0.5, seed=9))
-        a2, b2 = sh.train_test_split(d, SplitSpec(train_fraction=0.5, seed=9))
-        assert np.array_equal(a1.features, a2.features)
-        assert np.array_equal(b1.features, b2.features)
-
-    def test_split_needs_two_per_class(self):
-        d = Dataset(
-            np.array([[0.0], [1.0], [2.0]]),
-            np.array([0, 0, 1]),
-            ("f",),
-            ("x", "y"),
-        )
-        with pytest.raises(DatasetError, match="at least 2"):
-            sh.train_test_split(d, SplitSpec(train_fraction=0.5, seed=0))
-
-    def test_both_parts_nonempty_even_at_extremes(self):
-        d = sh.blob_dataset(n_per_class=3, n_features=2, seed=0)
-        train, test = sh.train_test_split(d, SplitSpec(train_fraction=0.99, seed=0))
-        assert list(test.class_counts) == [1, 1]
-        train, test = sh.train_test_split(d, SplitSpec(train_fraction=0.01, seed=0))
-        assert list(train.class_counts) == [1, 1]
 
 
 class TestStratifiedKfold:

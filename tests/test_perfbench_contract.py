@@ -59,3 +59,23 @@ def test_small_workload_passes_its_checks(tmp_path, traced):
         by_name, _ = tracing.summarize(tracer.spans)
         assert by_name["wrapper.objective"]["calls"] == sum(c for c, _ in rep.segments)
         assert by_name["baselines.evaluate_components"]["calls"] == 1
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_small_mlp_workload_passes_its_checks(tmp_path, traced):
+    # the MLP path: every best fitness must equal a fresh evaluation, which
+    # trains the folds in lockstep again from scratch
+    wl = workloads.Workload("contract_mlp", 60, 6, 2, "mlp", 2, ("hs", "ga", "pca"), True,
+                            epochs=2, generations=3, components=2)
+    inputs = workloads.make_inputs(wl, 1, 0, tmp_path)
+    tracer = tracing.Tracer() if traced else None
+    rep = workloads.run_rep(wl, inputs, tracer)
+    attempted, failures = workloads.check_rep(wl, inputs, rep, tmp_path, tracer)
+    assert (attempted, failures) == (len(wl.optimizers) + 1, [])
+    if traced:
+        by_name, _ = tracing.summarize(tracer.spans)
+        assert by_name["wrapper.objective"]["calls"] == sum(c for c, _ in rep.segments)
+        # one prediction per fold of every subset and PCA evaluation
+        assert by_name["classifiers.mlp_predict"]["calls"] == 3 * (
+            by_name["wrapper.evaluate_subset"]["calls"]
+            + by_name["baselines.evaluate_components"]["calls"])
