@@ -140,8 +140,12 @@ def cross_validate(
 
 
 def evaluate_subset(d: Dataset, s: FeatureSubset, cfg: ObjectiveConfig) -> EvaluationResult:
-    """Stratified k-fold CV accuracy of the classifier on project(d, s)."""
-    return cross_validate(project(d, s), cfg)
+    """Stratified k-fold CV accuracy of the classifier on the subset's columns.
+
+    The columns are taken in ascending index order, so a feature set scores
+    the same whatever the order of its slots.
+    """
+    return cross_validate(project(d, FeatureSubset(s.key)), cfg)
 
 
 class SubsetObjective:

@@ -270,6 +270,22 @@ class TestMainFlows:
         assert lines[3].startswith("95% CI: [")
 
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_eval_reproduces_selected_accuracy(self, capsys, tiny8_path, seed):
+        # select prints its subset in ascending order; scoring that subset
+        # again must give the accuracy the search reported
+        common = ["--data", str(tiny8_path), "--classifier", "mlp", "--epochs", "5",
+                  "--seed", seed]
+        code, out, _ = _run(capsys, ["select", *common, "--k", "3", "--hms", "5",
+                                     "--iterations", "10"])
+        assert code == 0
+        subset_line, accuracy_line = out.splitlines()[:2]
+        features = subset_line.split(": ")[1].split(" ")[0]
+        code, out, _ = _run(capsys, ["eval", *common, "--features", features])
+        assert code == 0
+        assert out.splitlines()[1] == accuracy_line
+
+
 class TestErrorExitCodes:
     def test_out_of_range_feature_is_data_error(self, capsys, tiny8_path):
         code, _, err = _run(capsys, [

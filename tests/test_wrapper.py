@@ -110,6 +110,16 @@ class TestEvaluateSubset:
                     ObjectiveConfig(mlp=MlpConfig(epochs=3), folds=2)):
             assert evaluate_subset(tiny8, s, cfg) == evaluate_subset(tiny8, s, cfg)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_score_ignores_slot_order(self, tiny8, data):
+        slots = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+        shuffled = data.draw(st.permutations(slots))
+        for cfg in (_knn_config(folds=3, fold_seed=5, knn=KnnConfig(3)),
+                    ObjectiveConfig(mlp=MlpConfig(epochs=3, seed=1), folds=2)):
+            assert (evaluate_subset(tiny8, FeatureSubset(slots), cfg)
+                    == evaluate_subset(tiny8, FeatureSubset(shuffled), cfg))
+
     def test_cache_returns_verbatim_result(self, tiny8):
         obj = SubsetObjective(tiny8, _knn_config(folds=3, fold_seed=5))
         first = obj.evaluate(FeatureSubset((1, 3, 6)))
