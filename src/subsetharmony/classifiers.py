@@ -222,7 +222,7 @@ def mlp_train_many(trains: Sequence[Dataset], cfg: MlpConfig) -> list[MlpModel]:
     live = [sum(n > t for n in sizes) for t in range(sizes[0])]
     heads = {k: _head(w, v, g, k, dims) for k in set(live)}
 
-    # an epoch's samples, one-hot targets and softmax outputs: (step, network, 1, ...)
+    # one epoch's shuffled rows, labels and softmax outputs, indexed (step, network, ...)
     x = np.zeros((sizes[0], len(order), 1, n_features))
     labels = np.zeros((sizes[0], len(order)), dtype=np.int64)
     probs = np.ones((sizes[0], len(order), 1, n_classes))
