@@ -19,6 +19,9 @@ from .harmony import Harmony, RunHistory, RunLog, random_subset
 from .subsets import FeatureSubset, check_subset_size
 from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, cross_validate
 
+# binary PSO velocity bound: sigmoid(4) ~ 0.982 keeps every dimension flippable
+VELOCITY_CLAMP = 4.0
+
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -55,7 +58,6 @@ class PsoConfig:
     c1: float = 2.0
     c2: float = 2.0
     inertia: float = 0.9
-    velocity_clamp: float = 4.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -69,8 +71,6 @@ class PsoConfig:
         # zero inertia tolerated so the degenerate no-memory swarm stays testable
         if self.inertia < 0.0:
             raise ValueError(f"inertia must be >= 0, got {self.inertia}")
-        if self.velocity_clamp <= 0.0:
-            raise ValueError(f"velocity_clamp must be > 0, got {self.velocity_clamp}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     """Binary PSO over inclusion masks, repaired to exactly k features.
 
     Velocities follow the classic update v <- w*v + c1*r1*(pbest-x) +
-    c2*r2*(gbest-x), clamped to +/- velocity_clamp; sigmoid(v) is the
+    c2*r2*(gbest-x), clamped to +/- VELOCITY_CLAMP; sigmoid(v) is the
     per-dimension inclusion probability. gbest is the run's best, updated
     as soon as any particle improves on it.
     """
@@ -200,7 +200,7 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
                 + cfg.c1 * r1 * (pbest_pos[p].astype(float) - x)
                 + cfg.c2 * r2 * (gbest_pos.astype(float) - x)
             )
-            np.clip(velocities[p], -cfg.velocity_clamp, cfg.velocity_clamp, out=velocities[p])
+            np.clip(velocities[p], -VELOCITY_CLAMP, VELOCITY_CLAMP, out=velocities[p])
             prob = _sigmoid(velocities[p])
             sampled = rng.random(n) < prob
             positions[p] = _repair_to_k(sampled, prob, k)
@@ -308,10 +308,7 @@ def pca_run(cfg: PcaConfig, objective: SubsetObjective) -> PcaSweepResult:
     d = objective.dataset
     obj_cfg = objective.config
     folds = stratified_kfold(d, obj_cfg.folds, obj_cfg.fold_seed)
-    max_r = min(
-        d.n_features,
-        min(len(folds.train_indices(f)) for f in range(obj_cfg.folds)),
-    )
+    max_r = min(d.n_features, min(len(train) for train, _ in folds))
     if cfg.components is not None:
         if cfg.components > max_r:
             raise ValueError(

@@ -78,31 +78,6 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.n_classes)
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Stratified fold index per sample for k-fold cross validation."""
-
-    fold_of_sample: np.ndarray
-    k: int
-
-    def __post_init__(self) -> None:
-        folds = np.asarray(self.fold_of_sample, dtype=np.int64)
-        if self.k < 2:
-            raise ValueError(f"fold count must be >= 2, got {self.k}")
-        if folds.min() < 0 or folds.max() >= self.k:
-            raise ValueError("fold indices out of range")
-        sizes = np.bincount(folds, minlength=self.k)
-        if (sizes == 0).any():
-            raise ValueError("every fold must be non-empty")
-        object.__setattr__(self, "fold_of_sample", _frozen(folds))
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of_sample == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of_sample != fold)
-
-
 def load_csv(path: str | Path, label_column: str) -> Dataset:
     """Load a plain comma-separated file into a Dataset.
 
@@ -204,12 +179,12 @@ def take_rows(d: Dataset, indices: np.ndarray) -> Dataset:
     )
 
 
-def stratified_kfold(d: Dataset, k: int, seed: int = 0) -> FoldAssignment:
-    """Seeded stratified k-fold assignment.
+def stratified_kfold(d: Dataset, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded stratified k-fold split: one (train_rows, test_rows) pair per fold.
 
     Within each class the samples are shuffled and dealt round-robin, so
-    per-class fold sizes differ by at most one. Depends only on the labels
-    and the seed, not on the feature columns.
+    per-class fold sizes differ by at most one. Both row arrays are ascending
+    int64. Depends only on the labels and the seed, not on the feature columns.
     """
     if k < 2:
         raise DatasetError(f"fold count must be >= 2, got {k}")
@@ -223,7 +198,8 @@ def stratified_kfold(d: Dataset, k: int, seed: int = 0) -> FoldAssignment:
             )
         shuffled = members[rng.permutation(len(members))]
         fold_of_sample[shuffled] = np.arange(len(members)) % k
-    return FoldAssignment(fold_of_sample=fold_of_sample, k=k)
+    return [(np.flatnonzero(fold_of_sample != f), np.flatnonzero(fold_of_sample == f))
+            for f in range(k)]
 
 
 def project(d: Dataset, s: FeatureSubset) -> Dataset:

@@ -104,11 +104,10 @@ def cross_validate(
     part only. The MLP folds train in lockstep (mlp_train_many), each to
     the bits it would reach alone.
     """
-    folds = stratified_kfold(d, cfg.folds, cfg.fold_seed)
     pairs = []
-    for f in range(cfg.folds):
-        train = take_rows(d, folds.train_indices(f))
-        test = take_rows(d, folds.test_indices(f))
+    for train_rows, test_rows in stratified_kfold(d, cfg.folds, cfg.fold_seed):
+        train = take_rows(d, train_rows)
+        test = take_rows(d, test_rows)
         if cfg.standardize:
             train, test = standardize(train, test)
         if transform is not None:
@@ -119,24 +118,17 @@ def cross_validate(
         predictions = [mlp_predict(model, test) for model, (_, test) in zip(models, pairs)]
     else:
         predictions = [knn_predict(train, cfg.knn, test) for train, test in pairs]
-    correct = 0
-    total = 0
-    per_fold: list[float] = []
-    for predicted, (_, test) in zip(predictions, pairs):
-        fold_correct = int((predicted == test.labels).sum())
-        per_fold.append(accuracy(fold_correct, test.n_samples))
-        correct += fold_correct
-        total += test.n_samples
-    if cfg.fold_average:
-        overall = float(np.mean(per_fold))
-    else:
-        overall = accuracy(correct, total)
-    return EvaluationResult(
-        accuracy_percent=overall,
-        per_fold_accuracy=tuple(per_fold),
-        correct_count=correct,
-        total_count=total,
-    )
+    return _result([int((predicted == test.labels).sum())
+                    for predicted, (_, test) in zip(predictions, pairs)],
+                   [test.n_samples for _, test in pairs], cfg.fold_average)
+
+
+def _result(correct: list[int], total: list[int], fold_average: bool) -> EvaluationResult:
+    """Result of per-fold counts: pooled, or the mean fold accuracy if fold_average."""
+    per_fold = tuple(accuracy(c, t) for c, t in zip(correct, total))
+    overall = float(np.mean(per_fold)) if fold_average else accuracy(sum(correct), sum(total))
+    return EvaluationResult(accuracy_percent=overall, per_fold_accuracy=per_fold,
+                            correct_count=sum(correct), total_count=sum(total))
 
 
 def evaluate_subset(d: Dataset, s: FeatureSubset, cfg: ObjectiveConfig) -> EvaluationResult:
@@ -188,14 +180,6 @@ class SubsetObjective:
         self.calls = 0
 
 
-def _loo_knn_correct(d: Dataset, subset: FeatureSubset, k_neighbors: int) -> int:
-    sub = project(d, FeatureSubset(subset.key))
-    x = sub.features
-    k = min(k_neighbors, sub.n_samples - 1)
-    predicted = _knn_vote(x, sub.labels, sub.n_classes, x, k, skip_self=True)
-    return int((predicted == sub.labels).sum())
-
-
 def loo_knn_accuracy(d: Dataset, subset: FeatureSubset, k_neighbors: int = 1) -> float:
     """Leave-one-out kNN accuracy percent on the chosen columns.
 
@@ -204,7 +188,7 @@ def loo_knn_accuracy(d: Dataset, subset: FeatureSubset, k_neighbors: int = 1) ->
     (equidistant neighbors prefer the lower sample index, tied votes the
     lowest class id), so exhaustive-search oracles are exactly repeatable.
     """
-    return accuracy(_loo_knn_correct(d, subset, k_neighbors), d.n_samples)
+    return LeaveOneOutObjective(d, k_neighbors).evaluate(subset).accuracy_percent
 
 
 class LeaveOneOutObjective(SubsetObjective):
@@ -219,12 +203,9 @@ class LeaveOneOutObjective(SubsetObjective):
                                                   knn=KnnConfig(k_neighbors)))
 
     def _score(self, subset: FeatureSubset) -> EvaluationResult:
-        n = self.dataset.n_samples
-        correct = _loo_knn_correct(self.dataset, subset, self.config.knn.k_neighbors)
-        acc = accuracy(correct, n)
-        return EvaluationResult(
-            accuracy_percent=acc,
-            per_fold_accuracy=(acc,),
-            correct_count=correct,
-            total_count=n,
-        )
+        """Leave-one-out as one fold of all n rows."""
+        sub = project(self.dataset, FeatureSubset(subset.key))
+        x = sub.features
+        k = min(self.config.knn.k_neighbors, sub.n_samples - 1)
+        predicted = _knn_vote(x, sub.labels, sub.n_classes, x, k, skip_self=True)
+        return _result([int((predicted == sub.labels).sum())], [sub.n_samples], False)

@@ -49,8 +49,6 @@ class TestConfigs:
             PsoConfig(n_features=5, subset_size=2, particles=1)
         with pytest.raises(ValueError):
             PsoConfig(n_features=5, subset_size=2, c1=-1.0)
-        with pytest.raises(ValueError):
-            PsoConfig(n_features=5, subset_size=2, velocity_clamp=0.0)
 
     def test_pca_validation(self):
         PcaConfig()  # components=None means sweep

@@ -342,9 +342,8 @@ class TestLockstep:
         # 31 rows per class over 3 folds: train sizes 60, 63 and 63
         d = blob_dataset(n_per_class=31, n_features=3, n_classes=3, seed=2)
         cfg = ObjectiveConfig(mlp=MlpConfig(epochs=5, seed=4), folds=3, fold_seed=1)
-        folds = stratified_kfold(d, 3, 1)
-        pairs = [standardize(take_rows(d, folds.train_indices(f)),
-                             take_rows(d, folds.test_indices(f))) for f in range(3)]
+        pairs = [standardize(take_rows(d, train_rows), take_rows(d, test_rows))
+                 for train_rows, test_rows in stratified_kfold(d, 3, 1)]
         assert sorted(train.n_samples for train, _ in pairs) == [60, 63, 63]
         references = [_sequential_train(train, cfg.mlp) for train, _ in pairs]
         for model, reference in zip(mlp_train_many([t for t, _ in pairs], cfg.mlp), references):
@@ -361,12 +360,10 @@ class TestLockstep:
         d = Dataset(rng.normal(size=(30, 2)), np.arange(30) % 2, ("a", "b"), ("x", "y"))
         cfg = ObjectiveConfig(mlp=MlpConfig(hidden_neurons=4, learning_rate=25.0, momentum=0.9,
                                             epochs=200, seed=0), folds=3, fold_seed=0)
-        folds = stratified_kfold(d, 3, 0)
         epochs = []
         with np.errstate(all="ignore"):
-            for f in range(3):
-                train, _ = standardize(take_rows(d, folds.train_indices(f)),
-                                       take_rows(d, folds.test_indices(f)))
+            for train_rows, test_rows in stratified_kfold(d, 3, 0):
+                train, _ = standardize(take_rows(d, train_rows), take_rows(d, test_rows))
                 with pytest.raises(TrainingDivergedError) as err:
                     mlp_train(train, cfg.mlp)
                 epochs.append(int(str(err.value).rsplit(" ", 1)[1]))

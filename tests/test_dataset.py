@@ -120,31 +120,34 @@ class TestLoadCsv:
 class TestStratifiedKfold:
     def test_fold_sizes_and_stratification(self, tiny8):
         folds = sh.stratified_kfold(tiny8, 3, seed=4)
-        for f in range(3):
-            test_rows = folds.test_indices(f)
+        assert len(folds) == 3
+        for _, test_rows in folds:
             assert len(test_rows) == 16
             labels = tiny8.labels[test_rows]
             assert (labels == 0).sum() == 8 and (labels == 1).sum() == 8
 
     def test_folds_partition_samples(self, tiny8):
         folds = sh.stratified_kfold(tiny8, 4, seed=0)
-        seen = np.concatenate([folds.test_indices(f) for f in range(4)])
+        seen = np.concatenate([test_rows for _, test_rows in folds])
         assert sorted(seen) == list(range(tiny8.n_samples))
-        for f in range(4):
-            train = set(folds.train_indices(f).tolist())
-            test = set(folds.test_indices(f).tolist())
+        for train_rows, test_rows in folds:
+            for rows in (train_rows, test_rows):
+                assert rows.dtype == np.int64
+                assert (np.diff(rows) > 0).all()
+            train = set(train_rows.tolist())
+            test = set(test_rows.tolist())
             assert not train & test
             assert len(train | test) == tiny8.n_samples
 
     def test_deterministic_by_seed(self, tiny8):
         a = sh.stratified_kfold(tiny8, 3, seed=7)
         b = sh.stratified_kfold(tiny8, 3, seed=7)
-        assert np.array_equal(a.fold_of_sample, b.fold_of_sample)
+        assert all(np.array_equal(x, y) for pa, pb in zip(a, b) for x, y in zip(pa, pb))
 
     def test_seed_changes_assignment(self, tiny8):
         a = sh.stratified_kfold(tiny8, 3, seed=7)
         b = sh.stratified_kfold(tiny8, 3, seed=8)
-        assert not np.array_equal(a.fold_of_sample, b.fold_of_sample)
+        assert not all(np.array_equal(ta, tb) for (_, ta), (_, tb) in zip(a, b))
 
     def test_small_class_rejected(self):
         d = Dataset(

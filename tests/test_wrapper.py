@@ -245,3 +245,10 @@ class TestLeaveOneOut:
         assert (r.correct_count, r.total_count) == (2, 3)
         assert r.per_fold_accuracy == (r.accuracy_percent,)
         assert r.accuracy_percent == loo_knn_accuracy(d, FeatureSubset((0,)))
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, tiny8, k):
+        # no neighbor votes at k=0, and a negative k would slice off the
+        # farthest rows instead, so neither may return a number
+        with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
+            loo_knn_accuracy(tiny8, FeatureSubset((0, 1)), k)
