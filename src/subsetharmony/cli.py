@@ -46,6 +46,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Append each default once, and none where there is no default value."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
@@ -156,7 +163,7 @@ def _build_parser() -> _Parser:
         description="Wrapper feature selection with harmony search and baselines.",
     )
     subs = parser.add_subparsers(dest="command", metavar="command")
-    kwargs = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
+    kwargs = {"formatter_class": _HelpFormatter}
 
     p = subs.add_parser("select", help="search for the best k-feature subset", **kwargs)
     _add_common(p, reports=False, default_output="")
@@ -170,9 +177,10 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("grid", help="HMS x iterations accuracy grid", **kwargs)
     _add_common(p, reports=True, default_output="grid_report.<format>")
     p.add_argument("--k", type=_positive_int, required=True, help="subset size")
-    p.add_argument("--hms-values", type=_positive_int_list, default=(10, 20, 30, 40, 50),
+    # comma-string defaults: argparse runs them through the flag's type
+    p.add_argument("--hms-values", type=_positive_int_list, default="10,20,30,40,50",
                    help="comma-separated HMS column values")
-    p.add_argument("--iteration-values", type=_positive_int_list, default=(10, 20, 30, 40, 50),
+    p.add_argument("--iteration-values", type=_positive_int_list, default="10,20,30,40,50",
                    help="comma-separated iteration row values")
     _add_hs_flags(p)
 
@@ -180,14 +188,14 @@ def _build_parser() -> _Parser:
                         **kwargs)
     _add_common(p, reports=True, default_output="fractions_report.<format>")
     p.add_argument("--fractions", type=_percent_list,
-                   default=DEFAULT_FRACTIONS,
+                   default=",".join(f"{pct:g}" for pct in DEFAULT_FRACTIONS),
                    help="comma-separated percentages in (0,100]")
     _add_hs_flags(p)
 
     p = subs.add_parser("compare", help="run several optimizers and time them", **kwargs)
     _add_common(p, reports=True, default_output="compare_report.<format>")
     p.add_argument("--k", type=_positive_int, required=True, help="subset size")
-    p.add_argument("--optimizers", type=_name_list, default=("hs", "ga", "pso"),
+    p.add_argument("--optimizers", type=_name_list, default="hs,ga,pso",
                    help="comma-separated subset of hs,ga,pso,pca")
     p.add_argument("--components", type=int, default=None,
                    help="PCA dimensionality (default: sweep all)")

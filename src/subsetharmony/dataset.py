@@ -88,7 +88,7 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"no such file: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     if not lines:
         raise DatasetError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -220,20 +220,26 @@ def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     """Column z-scores computed from the train part only.
 
     Zero-variance train columns map to all zeros in both parts, so subsets
-    that pick up constant columns stay evaluable.
+    that pick up constant columns stay evaluable. Columns whose statistics or
+    z-scores overflow float64 raise DatasetError, which names them.
     """
     if train.n_features != test.n_features:
         raise DatasetError(
             f"train has {train.n_features} features but test has {test.n_features}"
         )
-    mean = train.features.mean(axis=0)
-    sd = train.features.std(axis=0)
-    constant = sd == 0.0
-    safe_sd = np.where(constant, 1.0, sd)
-
-    def _apply(d: Dataset) -> Dataset:
-        z = (d.features - mean) / safe_sd
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.features.mean(axis=0)
+        sd = train.features.std(axis=0)
+        constant = sd == 0.0
+        safe_sd = np.where(constant, 1.0, sd)
+        parts = [(d.features - mean) / safe_sd for d in (train, test)]
+    overflowed = ~(np.isfinite(mean) & np.isfinite(sd))
+    for z in parts:
         z[:, constant] = 0.0
-        return Dataset(z, d.labels, d.feature_names, d.class_names)
-
-    return _apply(train), _apply(test)
+        overflowed |= ~np.isfinite(z).all(axis=0)
+    if overflowed.any():
+        names = ", ".join(repr(train.feature_names[i]) for i in np.flatnonzero(overflowed))
+        raise DatasetError(f"column(s) {names} too large to standardize: their mean, "
+                           "standard deviation or z-scores overflow float64")
+    return tuple(Dataset(z, d.labels, d.feature_names, d.class_names)
+                 for z, d in zip(parts, (train, test)))

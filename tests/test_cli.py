@@ -1,5 +1,8 @@
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,13 @@ from subsetharmony.harness import read_comparison_csv, read_fractions_csv, read_
 
 
 FAST = ["--classifier", "knn", "--folds", "2", "--seed", "0"]
+
+
+def _module_run(argv):
+    """`python -m subsetharmony argv` in a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "subsetharmony", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def _run(capsys, argv):
@@ -97,6 +107,28 @@ class TestUsageErrors:
         assert "0.7" in out   # hmcr default
         assert "0.3" in out   # par default
         assert "--iterations" in out
+
+    @pytest.mark.parametrize("command", ["select", "grid", "fractions", "compare", "pca",
+                                         "eval"])
+    def test_help_states_each_default_once_as_typed(self, capsys, command):
+        assert cli.run([command, "--help"]) == 0
+        options = capsys.readouterr().out.split("options:\n", 1)[1]
+        entries = [" ".join(e.split()) for e in re.split(r"\n(?=  -)", options)]
+        assert len(entries) > 10
+        for entry in entries:
+            assert entry.count("(default:") <= 1, entry
+            assert "(default: None)" not in entry and "(default: (" not in entry, entry
+        shown = {"grid": "10,20,30,40,50", "fractions": "15,30,45,60,75,90",
+                 "compare": "hs,ga,pso"}.get(command)
+        if shown is not None:
+            assert f"(default: {shown})" in " ".join(entries)
+
+    def test_list_defaults_parse_to_tuples(self, tiny8_path):
+        base = ["--data", str(tiny8_path)]
+        grid = cli.parse_args(["grid", *base, "--k", "3"])
+        assert grid.hms_values == grid.iteration_values == (10, 20, 30, 40, 50)
+        assert cli.parse_args(["fractions", *base]).fractions == harness.DEFAULT_FRACTIONS
+        assert cli.parse_args(["compare", *base, "--k", "3"]).optimizers == ("hs", "ga", "pso")
 
     def test_top_level_help(self, capsys):
         assert cli.run(["--help"]) == 0
@@ -301,6 +333,16 @@ class TestErrorExitCodes:
                                      *FAST])
         assert code == 2
 
+    def test_overflowing_features_are_a_named_data_error(self, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("a,b,label\n" + "".join(
+            f"{a},{b},{c}\n" for a, b, c in [("1e308", 0.5, "x"), ("1.7e308", 1.5, "y"),
+                                             ("1.2e308", 0.25, "x"), ("1.5e308", 2.5, "y")]))
+        proc = _module_run(["eval", "--data", str(big), "--features", "0,1", *FAST])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error: column(s) 'a' too large to standardize")
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_unexpected_exception_is_runtime_error(self, capsys, tiny8_path,
                                                    monkeypatch):
         def boom(cfg, objective):
@@ -353,9 +395,6 @@ class TestDeterminism:
 
 
 def test_module_entry_point_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "subsetharmony"],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = _module_run([])
     assert proc.returncode == 1
     assert "command" in proc.stderr

@@ -73,6 +73,17 @@ class TestLoadCsv:
         assert d.feature_names == ("f0", "f1")
         assert d.features[0, 0] == 1.0
 
+    def test_utf8_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF
+        first = _simple_csv(tmp_path, "\ufefflabel,a,b\nx,1.5,2\ny,3,4\n", "first.csv")
+        d = sh.load_csv(first, "label")
+        assert d.feature_names == ("a", "b") and d.class_names == ("x", "y")
+        last = _simple_csv(tmp_path, "\ufeffa,b,label\n1.5,2,x\n3,4,y\n", "last.csv")
+        assert sh.load_csv(last, "label").feature_names == ("a", "b")
+        again = sh.load_csv(sh.write_csv(d, tmp_path / "again.csv"), "label")
+        assert np.array_equal(again.features, d.features)
+        assert (again.feature_names, again.class_names) == (d.feature_names, d.class_names)
+
     def test_quoted_fields_rejected(self, tmp_path):
         p = _simple_csv(tmp_path, 'f,cls\n"1.0",a\n')
         with pytest.raises(DatasetError, match="quoted"):
@@ -209,6 +220,18 @@ class TestStandardize:
         train = Dataset(np.ones((2, 2)), np.array([0, 1]), ("a", "b"), ("x", "y"))
         test = Dataset(np.ones((1, 1)), np.array([0]), ("a",), ("x",))
         with pytest.raises(DatasetError):
+            sh.standardize(train, test)
+
+    def test_overflowing_columns_named(self):
+        # finite values whose mean overflows (a), and a tiny train spread that
+        # turns an ordinary test value into an infinite z-score (c)
+        def part(rows):
+            return Dataset(np.array(rows), np.zeros(len(rows), dtype=int), ("a", "b", "c"),
+                           ("x",))
+
+        train = part([[1e308, 1.0, 0.0], [1.7e308, 2.0, 1e-150]])
+        test = part([[1e308, 3.0, 1e160]])
+        with pytest.raises(DatasetError, match=r"column\(s\) 'a', 'c' too large"):
             sh.standardize(train, test)
 
 
