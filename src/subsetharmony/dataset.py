@@ -233,11 +233,10 @@ def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
         constant = sd == 0.0
         safe_sd = np.where(constant, 1.0, sd)
         parts = [(d.features - mean) / safe_sd for d in (train, test)]
-    overflowed = ~(np.isfinite(mean) & np.isfinite(sd))
     for z in parts:
         z[:, constant] = 0.0
-        overflowed |= ~np.isfinite(z).all(axis=0)
-    if overflowed.any():
+    if not all(np.isfinite(a).all() for a in (mean, sd, *parts)):
+        overflowed = ~np.isfinite(np.vstack([mean, sd, *parts])).all(axis=0)
         names = ", ".join(repr(train.feature_names[i]) for i in np.flatnonzero(overflowed))
         raise DatasetError(f"column(s) {names} too large to standardize: their mean, "
                            "standard deviation or z-scores overflow float64")
