@@ -189,7 +189,7 @@ def stratified_kfold(d: Dataset, k: int, seed: int = 0) -> list[tuple[np.ndarray
     if k < 2:
         raise DatasetError(f"fold count must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
-    fold_of_sample = np.empty(d.n_samples, dtype=np.int64)
+    fold_of_row = np.empty(d.n_samples, dtype=np.int64)
     for c in range(d.n_classes):
         members = np.flatnonzero(d.labels == c)
         if len(members) < k:
@@ -197,8 +197,8 @@ def stratified_kfold(d: Dataset, k: int, seed: int = 0) -> list[tuple[np.ndarray
                 f"class {d.class_names[c]!r} has {len(members)} sample(s), fewer than k={k}"
             )
         shuffled = members[rng.permutation(len(members))]
-        fold_of_sample[shuffled] = np.arange(len(members)) % k
-    return [(np.flatnonzero(fold_of_sample != f), np.flatnonzero(fold_of_sample == f))
+        fold_of_row[shuffled] = np.arange(len(members)) % k
+    return [(np.flatnonzero(fold_of_row != f), np.flatnonzero(fold_of_row == f))
             for f in range(k)]
 
 
