@@ -35,6 +35,8 @@ ENV_SEED = "SUBSETHARMONY_SEED"
 _BOOLEAN_KEYS = frozenset({"standardize", "fold-average"})
 _TRUE_WORDS = frozenset({"true", "1", "yes", "on"})
 _FALSE_WORDS = frozenset({"false", "0", "no", "off"})
+# the flag by which a subcommand accepts each optimizer's settings
+_OPTIMIZER_FLAGS = {"hs": "hms", "ga": "population", "pso": "particles", "pca": "components"}
 
 
 class UsageError(Exception):
@@ -63,23 +65,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _positive_int_list(text: str) -> tuple[int, ...]:
-    values = _int_list(text)
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"entries must be >= 1, got {text!r}")
-    return values
-
-
 def _percent_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
@@ -87,9 +72,6 @@ def _percent_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
-    for pct in values:
-        if not 0.0 < pct <= 100.0:
-            raise argparse.ArgumentTypeError(f"fractions must be in (0,100], got {pct}")
     return values
 
 
@@ -97,7 +79,7 @@ def _name_list(text: str) -> tuple[str, ...]:
     values = tuple(tok.strip().lower() for tok in text.split(",") if tok.strip())
     if not values:
         raise argparse.ArgumentTypeError("expected at least one optimizer name")
-    bad = [v for v in values if v not in ("hs", "ga", "pso", "pca")]
+    bad = [v for v in values if v not in _OPTIMIZER_FLAGS]
     if bad:
         raise argparse.ArgumentTypeError(f"unknown optimizer(s): {','.join(bad)}")
     return values
@@ -111,20 +93,26 @@ def _add_common(sub: argparse.ArgumentParser, *, reports: bool,
                      help="global seed; per-component seeds derive from it")
     sub.add_argument("--config", default=None,
                      help="key=value file; flags override its entries")
-    sub.add_argument("--classifier", choices=("mlp", "knn"), default="mlp",
-                     help="wrapped classifier")
-    sub.add_argument("--folds", type=int, default=3, help="stratified CV folds")
+    sub.add_argument("--classifier", choices=("mlp", "knn"),
+                     default=ObjectiveConfig.classifier, help="wrapped classifier")
+    sub.add_argument("--folds", type=int, default=ObjectiveConfig.folds,
+                     help="stratified CV folds")
     sub.add_argument("--standardize", action=argparse.BooleanOptionalAction,
-                     default=True, help="z-score features per fold (train stats)")
+                     default=ObjectiveConfig.standardize,
+                     help="z-score features per fold (train stats)")
     sub.add_argument("--fold-average", action=argparse.BooleanOptionalAction,
-                     default=False,
+                     default=ObjectiveConfig.fold_average,
                      help="report mean of fold accuracies instead of pooled")
     sub.add_argument("--hidden", type=int, default=None,
                      help="MLP hidden neurons (default: ceil((features+classes)/2))")
-    sub.add_argument("--learning-rate", type=float, default=0.3, help="MLP learning rate")
-    sub.add_argument("--momentum", type=float, default=0.4, help="MLP momentum")
-    sub.add_argument("--epochs", type=int, default=1000, help="MLP training epochs")
-    sub.add_argument("--neighbors", type=int, default=1, help="kNN neighbor count")
+    sub.add_argument("--learning-rate", type=float, default=MlpConfig.learning_rate,
+                     help="MLP learning rate")
+    sub.add_argument("--momentum", type=float, default=MlpConfig.momentum,
+                     help="MLP momentum")
+    sub.add_argument("--epochs", type=int, default=MlpConfig.epochs,
+                     help="MLP training epochs")
+    sub.add_argument("--neighbors", type=int, default=KnnConfig.k_neighbors,
+                     help="kNN neighbor count")
     if reports:
         sub.add_argument("--output", default=None,
                          help=f"report file path (default: {default_output})")
@@ -133,28 +121,39 @@ def _add_common(sub: argparse.ArgumentParser, *, reports: bool,
 
 
 def _add_hs_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--hms", type=int, default=20, help="harmony memory size")
-    sub.add_argument("--hmcr", type=float, default=0.7, help="memory considering rate")
-    sub.add_argument("--par", type=float, default=0.3, help="pitch adjusting rate")
-    sub.add_argument("--bandwidth", type=float, default=1.0, help="pitch bandwidth")
-    sub.add_argument("--iterations", type=int, default=100, help="HS improvisations")
-    sub.add_argument("--pitch-topology", choices=PITCH_TOPOLOGIES, default="index",
+    sub.add_argument("--hms", type=int, default=HsConfig.hms, help="harmony memory size")
+    sub.add_argument("--hmcr", type=float, default=HsConfig.hmcr,
+                     help="memory considering rate")
+    sub.add_argument("--par", type=float, default=HsConfig.par, help="pitch adjusting rate")
+    sub.add_argument("--bandwidth", type=float, default=HsConfig.bandwidth,
+                     help="pitch bandwidth")
+    sub.add_argument("--iterations", type=int, default=HsConfig.max_iterations,
+                     help="HS improvisations")
+    sub.add_argument("--pitch-topology", choices=PITCH_TOPOLOGIES,
+                     default=HsConfig.pitch_topology,
                      help="neighbor line for pitch adjustment")
 
 
 def _add_ga_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--population", type=int, default=20, help="GA chromosomes")
-    sub.add_argument("--generations", type=int, default=100, help="GA generations")
-    sub.add_argument("--crossover-rate", type=float, default=1.0, help="GA crossover rate")
-    sub.add_argument("--mutation-rate", type=float, default=0.1, help="GA mutation rate")
+    sub.add_argument("--population", type=int, default=GaConfig.population,
+                     help="GA chromosomes")
+    sub.add_argument("--generations", type=int, default=GaConfig.generations,
+                     help="GA generations")
+    sub.add_argument("--crossover-rate", type=float, default=GaConfig.crossover_rate,
+                     help="GA crossover rate")
+    sub.add_argument("--mutation-rate", type=float, default=GaConfig.mutation_rate,
+                     help="GA mutation rate")
 
 
 def _add_pso_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--particles", type=int, default=20, help="PSO swarm size")
-    sub.add_argument("--pso-iterations", type=int, default=100, help="PSO iterations")
-    sub.add_argument("--c1", type=float, default=2.0, help="PSO cognitive factor")
-    sub.add_argument("--c2", type=float, default=2.0, help="PSO social factor")
-    sub.add_argument("--inertia", type=float, default=0.9, help="PSO inertia weight")
+    sub.add_argument("--particles", type=int, default=PsoConfig.particles,
+                     help="PSO swarm size")
+    sub.add_argument("--pso-iterations", type=int, default=PsoConfig.iterations,
+                     help="PSO iterations")
+    sub.add_argument("--c1", type=float, default=PsoConfig.c1, help="PSO cognitive factor")
+    sub.add_argument("--c2", type=float, default=PsoConfig.c2, help="PSO social factor")
+    sub.add_argument("--inertia", type=float, default=PsoConfig.inertia,
+                     help="PSO inertia weight")
 
 
 def _build_parser() -> _Parser:
@@ -167,7 +166,7 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("select", help="search for the best k-feature subset", **kwargs)
     _add_common(p, reports=False, default_output="")
-    p.add_argument("--k", type=_positive_int, required=True, help="subset size")
+    p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--optimizer", choices=("hs", "ga", "pso"), default="hs",
                    help="search algorithm")
     _add_hs_flags(p)
@@ -176,11 +175,11 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("grid", help="HMS x iterations accuracy grid", **kwargs)
     _add_common(p, reports=True, default_output="grid_report.<format>")
-    p.add_argument("--k", type=_positive_int, required=True, help="subset size")
+    p.add_argument("--k", type=int, required=True, help="subset size")
     # comma-string defaults: argparse runs them through the flag's type
-    p.add_argument("--hms-values", type=_positive_int_list, default="10,20,30,40,50",
+    p.add_argument("--hms-values", type=_int_list, default="10,20,30,40,50",
                    help="comma-separated HMS column values")
-    p.add_argument("--iteration-values", type=_positive_int_list, default="10,20,30,40,50",
+    p.add_argument("--iteration-values", type=_int_list, default="10,20,30,40,50",
                    help="comma-separated iteration row values")
     _add_hs_flags(p)
 
@@ -194,7 +193,7 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("compare", help="run several optimizers and time them", **kwargs)
     _add_common(p, reports=True, default_output="compare_report.<format>")
-    p.add_argument("--k", type=_positive_int, required=True, help="subset size")
+    p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--optimizers", type=_name_list, default="hs,ga,pso",
                    help="comma-separated subset of hs,ga,pso,pca")
     p.add_argument("--components", type=int, default=None,
@@ -310,10 +309,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if getattr(ns, "output", "") is None:
         ns.output = f"{command}_report.{'csv' if ns.format == 'csv' else 'md'}"
     return ns
-
-
-# the flag by which a subcommand accepts each optimizer's settings
-_OPTIMIZER_FLAGS = {"hs": "hms", "ga": "population", "pso": "particles", "pca": "components"}
 
 
 def _optimizer_config(name: str, ns: argparse.Namespace, n_features: int,

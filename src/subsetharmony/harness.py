@@ -129,27 +129,24 @@ def sweep_grid(
     base: HsConfig,
     objective: SubsetObjective,
 ) -> GridReport:
-    """Run hs_run for every (hms, iterations) pair with per-cell seeds."""
-    if not hms_values or not iteration_values:
+    """Run hs_run for every (hms, iterations) pair with per-cell seeds.
+
+    Every cell's config is built, and so checked, before the first search.
+    """
+    configs = [
+        [replace(base, hms=int(hms), max_iterations=int(iterations),
+                 seed=derive_seed(base.seed, "grid", str(hms), str(iterations)))
+         for hms in hms_values]
+        for iterations in iteration_values
+    ]
+    cells = tuple(tuple(hs_run(cfg, objective)[0].fitness for cfg in row) for row in configs)
+    if not cells or not cells[0]:
         raise ValueError("hms_values and iteration_values must be non-empty")
-    cells: list[tuple[float, ...]] = []
-    for iterations in iteration_values:
-        row: list[float] = []
-        for hms in hms_values:
-            cfg = replace(
-                base,
-                hms=int(hms),
-                max_iterations=int(iterations),
-                seed=derive_seed(base.seed, "grid", str(hms), str(iterations)),
-            )
-            best, _ = hs_run(cfg, objective)
-            row.append(best.fitness)
-        cells.append(tuple(row))
     r, c = _best_cell(cells, iteration_values, hms_values)
     return GridReport(
         iteration_values=tuple(int(v) for v in iteration_values),
         hms_values=tuple(int(v) for v in hms_values),
-        cells=tuple(cells),
+        cells=cells,
         best_row=r,
         best_col=c,
     )
@@ -171,25 +168,21 @@ def sweep_fractions(
     base: HsConfig,
     objective: SubsetObjective,
 ) -> FractionSweepReport:
-    """One hs_run per fraction, subset size resolved by the floor rule."""
-    if not fractions:
-        raise ValueError("fractions must be non-empty")
-    sizes: list[int] = []
-    accuracies: list[float] = []
-    for pct in fractions:
-        k = fraction_to_size(pct, base.n_features)
-        cfg = replace(
-            base,
-            subset_size=k,
-            seed=derive_seed(base.seed, "fraction", _fmt_fraction(pct)),
-        )
-        best, _ = hs_run(cfg, objective)
-        sizes.append(k)
-        accuracies.append(best.fitness)
+    """One hs_run per fraction, subset size resolved by the floor rule.
+
+    Every fraction's size and config are built, and so checked, before the
+    first search.
+    """
+    sizes = [fraction_to_size(pct, base.n_features) for pct in fractions]
+    configs = [
+        replace(base, subset_size=k,
+                seed=derive_seed(base.seed, "fraction", _fmt_fraction(pct)))
+        for pct, k in zip(fractions, sizes)
+    ]
     return FractionSweepReport(
         fraction_percents=tuple(float(p) for p in fractions),
         subset_sizes=tuple(sizes),
-        accuracies=tuple(accuracies),
+        accuracies=tuple(hs_run(cfg, objective)[0].fitness for cfg in configs),
     )
 
 

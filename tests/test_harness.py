@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from subsetharmony import harness
 from subsetharmony import (
     ComparisonReport,
     ComparisonRow,
@@ -9,6 +10,7 @@ from subsetharmony import (
     FractionSweepReport,
     GaConfig,
     GridReport,
+    Harmony,
     HsConfig,
     LeaveOneOutObjective,
     ObjectiveConfig,
@@ -102,6 +104,24 @@ class TestSweepGrid:
         base = HsConfig(n_features=8, subset_size=3)
         with pytest.raises(ValueError):
             sweep_grid((), (10,), base, LeaveOneOutObjective(tiny8))
+
+
+@pytest.mark.parametrize("sweep, match", [
+    (lambda base: sweep_grid((4, 0), (5,), base, None), "hms must be >= 1, got 0"),
+    (lambda base: sweep_grid((4,), (5, 0), base, None), "max_iterations must be >= 1"),
+    (lambda base: sweep_fractions((25, 150), base, None), "must be in \\(0, 100\\], got 150"),
+], ids=["grid hms", "grid iterations", "fractions"])
+def test_sweeps_check_every_config_before_the_first_search(sweep, match, monkeypatch):
+    runs = []
+
+    def counting_run(cfg, objective):
+        runs.append(cfg)
+        return Harmony(FeatureSubset(tuple(range(cfg.subset_size))), 50.0), None
+
+    monkeypatch.setattr(harness, "hs_run", counting_run)
+    with pytest.raises(ValueError, match=match):
+        sweep(HsConfig(n_features=8, subset_size=3))
+    assert len(runs) == 0
 
 
 class TestSweepFractions:
