@@ -32,13 +32,11 @@ def _fmt_fraction(pct: float) -> str:
 
 @dataclass(frozen=True)
 class GridReport:
-    """Accuracy for every (iterations, hms) cell, with the best cell marked."""
+    """Accuracy for every (iterations, hms) cell; the best cell is derived."""
 
     iteration_values: tuple[int, ...]   # row labels
     hms_values: tuple[int, ...]         # column labels
     cells: tuple[tuple[float, ...], ...]  # cells[row][col], percent
-    best_row: int
-    best_col: int
 
     def __post_init__(self) -> None:
         if not self.iteration_values or not self.hms_values:
@@ -48,17 +46,30 @@ class GridReport:
         for row in self.cells:
             if len(row) != len(self.hms_values):
                 raise ValueError("column count does not match hms labels")
-        if not (0 <= self.best_row < len(self.iteration_values)):
-            raise ValueError(f"best_row out of range: {self.best_row}")
-        if not (0 <= self.best_col < len(self.hms_values)):
-            raise ValueError(f"best_col out of range: {self.best_col}")
+
+    def _best_cell(self) -> tuple[int, int]:
+        # ties break to the lowest iteration count, then the lowest HMS
         top = max(v for row in self.cells for v in row)
-        if self.cells[self.best_row][self.best_col] != top:
-            raise ValueError("best cell does not hold the maximum")
+        _, _, r, c = min(
+            (self.iteration_values[r], self.hms_values[c], r, c)
+            for r, row in enumerate(self.cells)
+            for c, v in enumerate(row)
+            if v == top
+        )
+        return r, c
+
+    @property
+    def best_row(self) -> int:
+        return self._best_cell()[0]
+
+    @property
+    def best_col(self) -> int:
+        return self._best_cell()[1]
 
     @property
     def best_accuracy(self) -> float:
-        return self.cells[self.best_row][self.best_col]
+        r, c = self._best_cell()
+        return self.cells[r][c]
 
 
 @dataclass(frozen=True)
@@ -106,23 +117,6 @@ class FractionSweepReport:
             raise ValueError("subset sizes must be >= 1")
 
 
-def _best_cell(
-    cells: Sequence[Sequence[float]],
-    iteration_values: Sequence[int],
-    hms_values: Sequence[int],
-) -> tuple[int, int]:
-    # ties break to the lowest iteration count, then the lowest HMS
-    top = max(v for row in cells for v in row)
-    candidates = [
-        (iteration_values[r], hms_values[c], r, c)
-        for r in range(len(iteration_values))
-        for c in range(len(hms_values))
-        if cells[r][c] == top
-    ]
-    _, _, r, c = min(candidates)
-    return r, c
-
-
 def sweep_grid(
     hms_values: Sequence[int],
     iteration_values: Sequence[int],
@@ -139,16 +133,10 @@ def sweep_grid(
          for hms in hms_values]
         for iterations in iteration_values
     ]
-    cells = tuple(tuple(hs_run(cfg, objective)[0].fitness for cfg in row) for row in configs)
-    if not cells or not cells[0]:
-        raise ValueError("hms_values and iteration_values must be non-empty")
-    r, c = _best_cell(cells, iteration_values, hms_values)
     return GridReport(
         iteration_values=tuple(int(v) for v in iteration_values),
         hms_values=tuple(int(v) for v in hms_values),
-        cells=cells,
-        best_row=r,
-        best_col=c,
+        cells=tuple(tuple(hs_run(cfg, objective)[0].fitness for cfg in row) for row in configs),
     )
 
 
@@ -319,8 +307,7 @@ def read_grid_csv(path) -> GridReport:
     hms_values = tuple(int(v) for v in rows[0][1:])
     iteration_values = tuple(int(row[0]) for row in rows[1:])
     cells = tuple(tuple(float(v) for v in row[1:]) for row in rows[1:])
-    r, c = _best_cell(cells, iteration_values, hms_values)
-    return GridReport(iteration_values, hms_values, cells, r, c)
+    return GridReport(iteration_values, hms_values, cells)
 
 
 def read_comparison_csv(path) -> ComparisonReport:

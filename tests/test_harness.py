@@ -53,15 +53,11 @@ class TestFractionToSize:
 
 class TestReportTypes:
     def test_grid_report_validation(self):
-        GridReport((10, 20), (5,), ((1.0,), (2.0,)), 1, 0)
+        GridReport((10, 20), (5,), ((1.0,), (2.0,)))
         with pytest.raises(ValueError):
-            GridReport((10, 20), (5,), ((1.0,),), 1, 0)  # row count mismatch
+            GridReport((10, 20), (5,), ((1.0,),))  # row count mismatch
         with pytest.raises(ValueError):
-            GridReport((10,), (5,), ((1.0, 2.0),), 0, 0)  # col count mismatch
-        with pytest.raises(ValueError):
-            GridReport((10,), (5,), ((1.0,),), 0, 1)  # best_col out of range
-        with pytest.raises(ValueError):
-            GridReport((10, 20), (5,), ((3.0,), (2.0,)), 1, 0)  # best not max
+            GridReport((10,), (5,), ((1.0, 2.0),))  # col count mismatch
 
     def test_comparison_row_validation(self):
         ComparisonRow("HS", 3, 90.0, 0.5)
@@ -205,12 +201,12 @@ class TestRendering:
         assert "| HS | 48 | 90.29 | 944.75 |" in text
 
     def test_grid_csv_shape(self):
-        report = GridReport((10, 20), (5, 15), ((70.0, 71.5), (72.25, 71.0)), 1, 0)
+        report = GridReport((10, 20), (5, 15), ((70.0, 71.5), (72.25, 71.0)))
         text = render_report(report, "csv")
         assert text == "iterations,5,15\n10,70.00,71.50\n20,72.25,71.00\n"
 
     def test_grid_markdown_bolds_best(self):
-        report = GridReport((10, 20), (5, 15), ((70.0, 71.5), (72.25, 71.0)), 1, 0)
+        report = GridReport((10, 20), (5, 15), ((70.0, 71.5), (72.25, 71.0)))
         text = render_report(report, "markdown")
         assert "**72.25**" in text
         assert text.count("**") == 2
@@ -247,7 +243,7 @@ class TestEmitAndParse:
                 want.execution_seconds, abs=0.005)
 
     def test_grid_round_trip(self, tmp_path):
-        report = GridReport((10, 20), (5, 15), ((70.0, 71.5), (72.25, 71.0)), 1, 0)
+        report = GridReport((10, 20), (5, 15), ((70.0, 71.5), (72.25, 71.0)))
         path = tmp_path / "grid.csv"
         emit_report(report, "csv", path)
         back = read_grid_csv(path)
