@@ -8,6 +8,7 @@ the same cross-validated wrapper on its transformed features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +67,11 @@ class PsoConfig:
             raise ValueError(f"particles must be >= 2, got {self.particles}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.c1 < 0.0 or self.c2 < 0.0:
-            raise ValueError(f"c1 and c2 must be >= 0, got {self.c1}, {self.c2}")
+        if not all(math.isfinite(c) and c >= 0.0 for c in (self.c1, self.c2)):
+            raise ValueError(f"c1 and c2 must be finite and >= 0, got {self.c1}, {self.c2}")
         # zero inertia tolerated so the degenerate no-memory swarm stays testable
-        if self.inertia < 0.0:
-            raise ValueError(f"inertia must be >= 0, got {self.inertia}")
+        if not (math.isfinite(self.inertia) and self.inertia >= 0.0):
+            raise ValueError(f"inertia must be finite and >= 0, got {self.inertia}")
 
 
 @dataclass(frozen=True)

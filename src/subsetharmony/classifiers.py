@@ -42,8 +42,8 @@ class MlpConfig:
         if self.hidden_neurons is not None and self.hidden_neurons < 1:
             raise ValueError(f"hidden_neurons must be >= 1, got {self.hidden_neurons}")
         # learning_rate 0 is tolerated so a no-op training pass stays testable
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
         if self.epochs < 1:

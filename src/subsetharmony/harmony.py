@@ -12,6 +12,7 @@ entry only on strict fitness improvement.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -65,8 +66,8 @@ class HsConfig:
             raise ValueError(f"hmcr must be in [0,1], got {self.hmcr}")
         if not 0.0 <= self.par <= 1.0:
             raise ValueError(f"par must be in [0,1], got {self.par}")
-        if self.bandwidth <= 0.0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
+            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.pitch_topology not in PITCH_TOPOLOGIES:
@@ -217,8 +218,16 @@ def improvise(memory: HarmonyMemory, cfg: HsConfig, rng: np.random.Generator) ->
     probability par. An exhausted column (every stored value already
     chosen) falls back to a random unchosen feature, preferring features
     that appear somewhere in the memory so that pure memory consideration
-    never invents indices the memory cannot justify.
+    never invents indices the memory cannot justify. A memory whose subsets
+    do not fit cfg's subset_size or n_features is rejected.
     """
+    if memory.subset_size != cfg.subset_size:
+        raise ValueError(f"memory holds {memory.subset_size}-feature subsets, "
+                         f"config has subset_size={cfg.subset_size}")
+    top = max(memory.column_union())
+    if top >= cfg.n_features:
+        raise ValueError(f"memory holds feature index {top}, "
+                         f"config has n_features={cfg.n_features}")
     chosen: list[int] = []
     chosen_set: set[int] = set()
     for slot in range(cfg.subset_size):

@@ -8,6 +8,7 @@ comparing. To re-record after an intended output change, run
 and review the diff of tests/fixtures/cli_golden.json.
 """
 
+import argparse
 import json
 import os
 from pathlib import Path
@@ -121,6 +122,30 @@ def test_invalid_value_exits_1_before_any_search(argv, tmp_path, capsys, monkeyp
     assert _run(argv, tmp_path)[0] == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+
+
+# each float flag of each subcommand, with the arguments that subcommand requires
+_REQUIRED = {"select": ["--k", "3"], "grid": ["--k", "3"], "compare": ["--k", "3"],
+             "fractions": [], "pca": [], "eval": ["--features", "0,1"]}
+_SUBPARSERS = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+FLOAT_FLAGS = [[command, *required, action.option_strings[0]]
+               for command, required in _REQUIRED.items()
+               for action in _SUBPARSERS[command]._actions if action.type is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", FLOAT_FLAGS, ids=" ".join)
+def test_non_finite_float_exits_1_before_any_search(argv, value, tmp_path, capsys,
+                                                    monkeypatch):
+    def no_search(cfg, objective):
+        raise RuntimeError("a search ran")
+
+    for runner in ("hs_run", "ga_run", "pso_run", "pca_run"):
+        monkeypatch.setattr(harness, runner, no_search)
+    *head, flag = argv
+    assert _run([*head, f"{flag}={value}"], tmp_path)[0] == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 if __name__ == "__main__":

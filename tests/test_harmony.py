@@ -251,6 +251,17 @@ class TestImprovise:
         for _ in range(500):
             assert improvise(m, cfg, rng).key == (1, 2, 5)
 
+    @pytest.mark.parametrize("rows, subset_size, par, match", [
+        ([((0, 1), 50.0)], 3, 0.0, "2-feature subsets, config has subset_size=3"),
+        ([((0, 9), 50.0)], 2, 0.0, "feature index 9, config has n_features=8"),
+        ([((0, 9), 50.0)], 2, 1.0, "feature index 9, config has n_features=8"),
+    ])
+    def test_memory_that_does_not_fit_the_config_is_rejected(self, rows, subset_size,
+                                                             par, match):
+        cfg = HsConfig(n_features=8, subset_size=subset_size, hms=1, hmcr=1.0, par=par)
+        with pytest.raises(ValueError, match=match):
+            improvise(_memory(*rows), cfg, np.random.default_rng(0))
+
     def test_fuzz_output_always_valid(self):
         rng = np.random.default_rng(2024)
         for trial in range(10_000):
