@@ -83,7 +83,9 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
 
     First row is the header; `label_column` selects the class column and every
     other column must parse as a finite real number. Class ids are assigned in
-    order of first appearance. Quoted fields are rejected.
+    order of first appearance. Quoted fields are rejected. Spaces around header
+    and label cells are dropped, and so are blank lines; row numbers in messages
+    count every line of the file.
     """
     path = Path(path)
     if not path.is_file():
@@ -91,7 +93,7 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
     lines = path.read_text(encoding="utf-8-sig").splitlines()
     if not lines:
         raise DatasetError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = [cell.strip() for cell in lines[0].split(",")]
     if any('"' in cell for cell in header):
         raise DatasetError(f"{path}: quoted fields are not supported")
     if label_column not in header:
@@ -104,6 +106,8 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
     rows: list[list[float]] = []
     raw_labels: list[str] = []
     for row_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
         cells = line.split(",")
         if any('"' in cell for cell in cells):
             raise DatasetError(f"{path}: row {row_no}: quoted fields are not supported")
@@ -129,7 +133,7 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
                 )
             values.append(value)
         rows.append(values)
-        raw_labels.append(cells[label_idx])
+        raw_labels.append(cells[label_idx].strip())
     if not rows:
         raise DatasetError(f"{path}: no data rows")
 

@@ -84,6 +84,30 @@ class TestLoadCsv:
         assert np.array_equal(again.features, d.features)
         assert (again.feature_names, again.class_names) == (d.feature_names, d.class_names)
 
+    @pytest.mark.parametrize("text", [
+        "a,b,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n\n",
+        "a,b,label\n1,2,x\n3,4,y\n \t\n5,6,x\n\n7,8,y\n",
+    ], ids=["trailing", "between rows"])
+    def test_blank_lines_skipped(self, tmp_path, text):
+        d = sh.load_csv(_simple_csv(tmp_path, text), "label")
+        assert d.n_samples == 4
+        assert d.features[:, 0].tolist() == [1.0, 3.0, 5.0, 7.0]
+
+    def test_row_numbers_count_blank_lines(self, tmp_path):
+        p = _simple_csv(tmp_path, "f,g,cls\n1,2,a\n\n1,a\n")
+        with pytest.raises(DatasetError, match="row 4"):
+            sh.load_csv(p, "cls")
+
+    def test_padded_header_and_label_cells_stripped(self, tmp_path):
+        p = _simple_csv(tmp_path, "a, b , label\n1,2, x\n3,4,x \n5,6,y\n")
+        d = sh.load_csv(p, "label")
+        assert d.feature_names == ("a", "b")
+        assert d.class_names == ("x", "y") and list(d.labels) == [0, 0, 1]
+        again = sh.load_csv(sh.write_csv(d, tmp_path / "again.csv"), "label")
+        assert np.array_equal(again.features, d.features)
+        assert np.array_equal(again.labels, d.labels)
+        assert (again.feature_names, again.class_names) == (d.feature_names, d.class_names)
+
     def test_quoted_fields_rejected(self, tmp_path):
         p = _simple_csv(tmp_path, 'f,cls\n"1.0",a\n')
         with pytest.raises(DatasetError, match="quoted"):
