@@ -46,6 +46,9 @@ class GridReport:
         for row in self.cells:
             if len(row) != len(self.hms_values):
                 raise ValueError("column count does not match hms labels")
+        bad = [v for row in self.cells for v in row if not 0.0 <= v <= 100.0]
+        if bad:
+            raise ValueError(f"grid cells must be accuracy percents in [0, 100], got {bad[0]}")
 
     def _best_cell(self) -> tuple[int, int]:
         # ties break to the lowest iteration count, then the lowest HMS

@@ -59,6 +59,13 @@ class TestReportTypes:
         with pytest.raises(ValueError):
             GridReport((10,), (5,), ((1.0, 2.0),))  # col count mismatch
 
+    @pytest.mark.parametrize("cell", ["nan", "-1.00", "100.50"])
+    def test_grid_cell_outside_percent_range_rejected(self, cell, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"iterations,5,15\n10,70.00,{cell}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="grid cells must be accuracy percents"):
+            read_grid_csv(path)
+
     def test_comparison_row_validation(self):
         ComparisonRow("HS", 3, 90.0, 0.5)
         with pytest.raises(ValueError):
