@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import _sigmoid
-# benchmark tracing patches take_rows and standardize here, so they stay imported
+# benchmark tracing patches take_rows, standardize and stratified_kfold here, so they
+# stay imported
 from .dataset import Dataset, standardize, stratified_kfold, take_rows  # noqa: F401
 from .harmony import Harmony, RunHistory, RunLog, random_subset
 from .subsets import FeatureSubset, check_subset_size
-from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, cross_validate
+from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, cross_validate, fold_plan
 
 # binary PSO velocity bound: sigmoid(4) ~ 0.982 keeps every dimension flippable
 VELOCITY_CLAMP = 4.0
@@ -308,8 +309,7 @@ def pca_run(cfg: PcaConfig, objective: SubsetObjective) -> PcaSweepResult:
     """
     d = objective.dataset
     obj_cfg = objective.config
-    folds = stratified_kfold(d, obj_cfg.folds, obj_cfg.fold_seed)
-    max_r = min(d.n_features, min(len(train) for train, _ in folds))
+    max_r = min(d.n_features, min(train.n_samples for train, _ in fold_plan(d, obj_cfg)))
     if cfg.components is not None:
         if cfg.components > max_r:
             raise ValueError(

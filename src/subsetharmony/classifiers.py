@@ -301,28 +301,40 @@ def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
               queries: np.ndarray, k: int, skip_self: bool = False) -> np.ndarray:
     """The one kNN rule: class ids voted by the k nearest training rows.
 
-    Squared Euclidean distances come from direct differences. Equal
-    distances favour the lower training-row index and tied votes the lowest
-    class id. skip_self=True is leave-one-out: queries are the training rows
-    themselves, and query i never counts training row i among its neighbours.
+    Squared Euclidean distances come from direct differences. The neighbours
+    are the rows at or below each query's k-th distance, found by partition;
+    where that distance is shared by more rows than fit, the lower training-row
+    indices win, and tied votes go to the lowest class id. k beyond the rows
+    available takes them all. skip_self=True is leave-one-out: queries are the
+    training rows themselves, and query i never counts training row i among its
+    neighbours.
     """
     n_queries = queries.shape[0]
+    k = min(k, train_x.shape[0] - skip_self)
     rows = max(1, _BLOCK_VALUES // train_x.size)
-    out = np.empty(n_queries, dtype=np.int64)
+    out = np.zeros(n_queries, dtype=np.int64)
+    if k < 1:
+        return out
     for start in range(0, n_queries, rows):
         block = queries[start:start + rows]
         q = block.shape[0]
         diffs = block[:, None, :] - train_x[None, :, :]
         sq_dist = np.einsum("qtf,qtf->qt", diffs, diffs)
-        # stable sort keeps lower train index first among exact distance ties
-        order = np.argsort(sq_dist, axis=1, kind="stable")
         if skip_self:
-            own = np.arange(start, start + q)[:, None]
-            order = order[order != own].reshape(q, -1)
-        votes = train_y[order[:, :k]]
+            # nan fails both comparisons below, so no query picks its own row
+            sq_dist[np.arange(q), np.arange(start, start + q)] = np.nan
+        kth = np.partition(sq_dist, k - 1, axis=1)[:, k - 1:k]
+        chosen = sq_dist <= kth
+        # rows whose k-th distance is shared past k keep the lowest-index ties
+        over = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k)
+        if over.size:
+            dist, cut = sq_dist[over], kth[over]
+            tied = dist == cut
+            room = k - np.count_nonzero(dist < cut, axis=1)
+            chosen[over] &= ~tied | (np.cumsum(tied, axis=1) <= room[:, None])
         # one bincount over (query, class) cells; argmax takes the lowest tied class
-        cells = np.arange(q)[:, None] * n_classes + votes
-        counts = np.bincount(cells.ravel(), minlength=q * n_classes)
+        query, neighbour = np.divmod(np.flatnonzero(chosen), chosen.shape[1])
+        counts = np.bincount(query * n_classes + train_y[neighbour], minlength=q * n_classes)
         out[start:start + q] = np.argmax(counts.reshape(q, n_classes), axis=1)
     return out
 
@@ -330,12 +342,13 @@ def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
 def knn_predict(train: Dataset, cfg: KnnConfig, samples: Dataset) -> np.ndarray:
     """Majority vote over the k nearest training rows by Euclidean distance.
 
-    Deterministic: equal distances favour the lower training-row index and
-    vote ties favour the lower class id.
+    Deterministic and exact (_knn_vote's top-k rule): equal distances favour
+    the lower training-row index and vote ties favour the lower class id; k
+    beyond the training rows takes them all.
     """
     if samples.n_features != train.n_features:
         raise ValueError(
             f"train has {train.n_features} features, queries have {samples.n_features}"
         )
-    k = min(cfg.k_neighbors, train.n_samples)
-    return _knn_vote(train.features, train.labels, train.n_classes, samples.features, k)
+    return _knn_vote(train.features, train.labels, train.n_classes, samples.features,
+                     cfg.k_neighbors)

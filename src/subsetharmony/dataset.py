@@ -158,11 +158,21 @@ def write_csv(d: Dataset, path: str | Path, label_column: str = "label") -> Path
     """Write a Dataset back to CSV so that load_csv round-trips it exactly.
 
     Feature values use shortest round-trip float formatting, so reloading
-    reproduces the array bit-for-bit.
+    reproduces the array bit-for-bit. Feature, label and class names that
+    load_csv would not read back unchanged raise DatasetError: names holding
+    a comma, a quote or a line break, or starting or ending with a space.
     """
     path = Path(path)
     if label_column in d.feature_names:
         raise DatasetError(f"label column name {label_column!r} clashes with a feature name")
+    unreadable = [name for name in dict.fromkeys((*d.feature_names, label_column,
+                                                  *d.class_names))
+                  if "," in name or '"' in name or name != name.strip()
+                  or len(name.splitlines()) > 1]
+    if unreadable:
+        raise DatasetError(f"name(s) {', '.join(map(repr, unreadable))} would not read back "
+                           "unchanged: a CSV name holds no comma, quote or line break, "
+                           "and no space at either end")
     out = [",".join(list(d.feature_names) + [label_column])]
     for row, label in zip(d.features, d.labels):
         cells = [repr(float(v)) for v in row]

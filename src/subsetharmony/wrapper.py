@@ -1,16 +1,19 @@
 """Wrapper objective: cross-validated classifier accuracy of a feature subset.
 
 Every candidate subset is scored by stratified k-fold cross validation on
-the projected columns, with standardization fitted per training fold. The
-reported accuracy is micro-averaged: pooled correct count over pooled
-sample count across folds. Evaluations are memoized under the canonical
-(sorted) subset key, since the same feature set reappears constantly
-during a search.
+its columns. The folds of a dataset, standardized at full width on each
+training part, are built once per dataset and fold setting (its fold plan);
+scoring a subset projects each fold's train and test part onto the subset's
+columns. The reported accuracy is micro-averaged: pooled correct count over
+pooled sample count across folds. Evaluations are memoized under the
+canonical (sorted) subset key, since the same feature set reappears
+constantly during a search.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -91,6 +94,33 @@ class ObjectiveConfig:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
 
 
+FoldPairs = tuple[tuple[Dataset, Dataset], ...]
+
+# each dataset's fold plans by (folds, fold_seed, standardize). A plan is a pure
+# function of an immutable Dataset, so sharing it changes no result; the entry
+# goes when the dataset does.
+_PLANS: weakref.WeakKeyDictionary[Dataset, dict[tuple, FoldPairs]] = weakref.WeakKeyDictionary()
+
+
+def fold_plan(d: Dataset, cfg: ObjectiveConfig) -> FoldPairs:
+    """The (train, test) parts of every fold of d at full width, built once.
+
+    The fold assignment depends only on the labels and cfg.fold_seed, so
+    every caller is scored against the same folds. With cfg.standardize each
+    pair holds z-scores fitted on the training part over all columns: that
+    full-width standardization is the reference a subset's columns are cut
+    from, so a column that overflows raises DatasetError here, whichever
+    subset is asked for. The plan lives as long as d does.
+    """
+    plans = _PLANS.setdefault(d, {})
+    key = (cfg.folds, cfg.fold_seed, cfg.standardize)
+    if key not in plans:
+        pairs = [(take_rows(d, train_rows), take_rows(d, test_rows))
+                 for train_rows, test_rows in stratified_kfold(d, cfg.folds, cfg.fold_seed)]
+        plans[key] = tuple(standardize(*pair) if cfg.standardize else pair for pair in pairs)
+    return plans[key]
+
+
 def cross_validate(
     d: Dataset,
     cfg: ObjectiveConfig,
@@ -98,21 +128,14 @@ def cross_validate(
 ) -> EvaluationResult:
     """Stratified k-fold CV accuracy of the configured classifier on d.
 
-    The fold assignment depends only on the labels and cfg.fold_seed, so
-    every caller is scored against the same folds. Standardization and then
-    `transform(train, test)`, if given, are fitted per fold on the training
-    part only. The MLP folds train in lockstep (mlp_train_many), each to
-    the bits it would reach alone.
+    Scores the folds of fold_plan(d, cfg), each first passed through
+    `transform(train, test)` if given; a transform fitted on the training
+    part only keeps the test part unseen. The MLP folds train in lockstep
+    (mlp_train_many), each to the bits it would reach alone.
     """
-    pairs = []
-    for train_rows, test_rows in stratified_kfold(d, cfg.folds, cfg.fold_seed):
-        train = take_rows(d, train_rows)
-        test = take_rows(d, test_rows)
-        if cfg.standardize:
-            train, test = standardize(train, test)
-        if transform is not None:
-            train, test = transform(train, test)
-        pairs.append((train, test))
+    pairs = fold_plan(d, cfg)
+    if transform is not None:
+        pairs = [transform(train, test) for train, test in pairs]
     if cfg.classifier == "mlp":
         models = mlp_train_many([train for train, _ in pairs], cfg.mlp)
         predictions = [mlp_predict(model, test) for model, (_, test) in zip(models, pairs)]
@@ -134,10 +157,11 @@ def _result(correct: list[int], total: list[int], fold_average: bool) -> Evaluat
 def evaluate_subset(d: Dataset, s: FeatureSubset, cfg: ObjectiveConfig) -> EvaluationResult:
     """Stratified k-fold CV accuracy of the classifier on the subset's columns.
 
-    The columns are taken in ascending index order, so a feature set scores
-    the same whatever the order of its slots.
+    Each fold of the plan is projected onto the columns in ascending index
+    order, so a feature set scores the same whatever the order of its slots.
     """
-    return cross_validate(project(d, FeatureSubset(s.key)), cfg)
+    cols = FeatureSubset(s.key)
+    return cross_validate(d, cfg, lambda train, test: (project(train, cols), project(test, cols)))
 
 
 class SubsetObjective:
@@ -147,7 +171,8 @@ class SubsetObjective:
     full per-fold result. Results are cached under the canonical (sorted)
     subset key and returned verbatim on re-query of the same feature set in
     any order. `calls` counts objective invocations including cache hits;
-    `unique_evaluations` counts actual scoring runs.
+    `unique_evaluations` counts actual scoring runs. The first miss builds
+    the dataset's fold plan (fold_plan); reset_cache keeps it.
     """
 
     def __init__(self, dataset: Dataset, config: ObjectiveConfig) -> None:
@@ -206,6 +231,6 @@ class LeaveOneOutObjective(SubsetObjective):
         """Leave-one-out as one fold of all n rows."""
         sub = project(self.dataset, FeatureSubset(subset.key))
         x = sub.features
-        k = min(self.config.knn.k_neighbors, sub.n_samples - 1)
-        predicted = _knn_vote(x, sub.labels, sub.n_classes, x, k, skip_self=True)
+        predicted = _knn_vote(x, sub.labels, sub.n_classes, x, self.config.knn.k_neighbors,
+                              skip_self=True)
         return _result([int((predicted == sub.labels).sum())], [sub.n_samples], False)

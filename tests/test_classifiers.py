@@ -262,6 +262,56 @@ class TestKnnBlocks:
             assert np.array_equal(loo, _single_block_vote(x, y, n_classes, x, k, skip_self=True))
 
 
+def _kth_shared_beyond_k(train_x, queries, k, skip_self):
+    """True if some query's k-th nearest distance is shared by more than k rows."""
+    diffs = queries[:, None, :] - train_x[None, :, :]
+    sq_dist = np.einsum("qtf,qtf->qt", diffs, diffs)
+    if skip_self:
+        np.fill_diagonal(sq_dist, np.inf)
+    kth = np.sort(sq_dist, axis=1)[:, k - 1:k]
+    return bool(((sq_dist <= kth).sum(axis=1) > k).any())
+
+
+@st.composite
+def _tie_heavy_votes(draw):
+    """Grid rows (at most 4 values per feature) plus k + 2 copies of one row,
+    shuffled: the query on that row has its k-th distance shared beyond k."""
+    n_features = draw(st.integers(1, 3))
+    n_classes = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n + 2))
+    cells = st.lists(st.integers(0, 3), min_size=n_features, max_size=n_features)
+    grid = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64) / 10.0
+    tie_row = grid[draw(st.integers(0, n - 1))]
+    rows = np.vstack([grid, np.repeat(tie_row[None], k + 2, axis=0)])
+    x = rows[draw(st.permutations(range(len(rows))))]
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=len(x),
+                               max_size=len(x))))
+    skip_self = draw(st.booleans())
+    if skip_self:
+        queries = x
+    else:
+        extra = draw(st.lists(cells, max_size=8))
+        queries = np.vstack([tie_row[None], np.array(extra, dtype=np.float64).reshape(
+            -1, n_features) / 10.0])
+    return x, y, n_classes, queries, k, skip_self
+
+
+class TestKnnTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(_tie_heavy_votes())
+    def test_top_k_equals_stable_sort(self, case):
+        x, y, n_classes, queries, k, skip_self = case
+        assert _kth_shared_beyond_k(x, queries, k, skip_self)
+        got = _knn_vote(x, y, n_classes, queries, k, skip_self)
+        assert np.array_equal(got, _single_block_vote(x, y, n_classes, queries, k, skip_self))
+        # k past every usable row votes with all of them
+        usable = len(x) - skip_self
+        got = _knn_vote(x, y, n_classes, queries, len(x) + 2, skip_self)
+        assert np.array_equal(got, _single_block_vote(x, y, n_classes, queries, usable,
+                                                      skip_self))
+
+
 def _piecewise_sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0

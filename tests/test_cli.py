@@ -343,6 +343,16 @@ class TestErrorExitCodes:
         assert proc.stderr.startswith("data error: column(s) 'a' too large to standardize")
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_overflowing_column_outside_the_subset_is_a_data_error(self, tmp_path):
+        # every column is standardized once per fold, so 'a' fails a subset of 'b' alone
+        big = tmp_path / "big.csv"
+        big.write_text("a,b,label\n" + "".join(
+            f"{a},{b},{c}\n" for a, b, c in [("1e308", 0.5, "x"), ("1.7e308", 1.5, "y"),
+                                             ("1.2e308", 0.25, "x"), ("1.5e308", 2.5, "y")]))
+        proc = _module_run(["eval", "--data", str(big), "--features", "1", *FAST])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error: column(s) 'a' too large to standardize")
+
     def test_unexpected_exception_is_runtime_error(self, capsys, tiny8_path,
                                                    monkeypatch):
         def boom(cfg, objective):

@@ -151,6 +151,32 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="clashes"):
             sh.write_csv(tiny8, tmp_path / "x.csv", label_column="f0")
 
+    @pytest.mark.parametrize("features, label, classes, bad", [
+        (("a", "b,c"), "label", ("x", "y"), "'b,c'"),
+        (("a", " b"), "label", ("x", "y"), "' b'"),
+        (("a", 'b"'), "label", ("x", "y"), "'b\"'"),
+        (("a", "b\nc"), "label", ("x", "y"), "'b\\nc'"),
+        (("a", "b"), "label", ("x ", "y"), "'x '"),
+        (("a", "b"), "label", ("x", "y\r"), "'y\\r'"),
+        (("a", "b"), "lab,el", ("x", "y"), "'lab,el'"),
+        (("a", "b"), " label", ("x", "y"), "' label'"),
+    ], ids=["comma", "leading space", "quote", "line feed", "trailing space",
+            "carriage return", "label comma", "label space"])
+    def test_write_rejects_names_that_do_not_read_back(self, tmp_path, features, label,
+                                                        classes, bad):
+        d = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), features, classes)
+        path = tmp_path / "d.csv"
+        with pytest.raises(DatasetError, match="would not read back") as err:
+            sh.write_csv(d, path, label_column=label)
+        assert bad in str(err.value)
+        assert not path.exists()
+
+    def test_write_keeps_inner_spaces(self, tmp_path):
+        d = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), ("a b", "c"),
+                    ("x y", "z"))
+        again = sh.load_csv(sh.write_csv(d, tmp_path / "d.csv", "the label"), "the label")
+        assert (again.feature_names, again.class_names) == (d.feature_names, d.class_names)
+
 
 class TestStratifiedKfold:
     def test_fold_sizes_and_stratification(self, tiny8):

@@ -59,6 +59,13 @@ def test_small_workload_passes_its_checks(tmp_path, traced):
         by_name, _ = tracing.summarize(tracer.spans)
         assert by_name["wrapper.objective"]["calls"] == sum(c for c, _ in rep.segments)
         assert by_name["baselines.evaluate_components"]["calls"] == 1
+        # one prediction per fold of every subset and PCA evaluation
+        assert by_name["classifiers.knn_predict"]["calls"] == 3 * (
+            by_name["wrapper.evaluate_subset"]["calls"]
+            + by_name["baselines.evaluate_components"]["calls"])
+        # the folds come from one plan per dataset, however many subsets are scored
+        assert by_name["wrapper.evaluate_subset"]["calls"] > 1
+        assert by_name["dataset.stratified_kfold"]["calls"] == 1
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])

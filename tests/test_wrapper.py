@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +19,11 @@ from subsetharmony import (
     confidence_interval,
     evaluate_subset,
     loo_knn_accuracy,
+    wrapper,
 )
 from subsetharmony.classifiers import knn_predict
-from subsetharmony.dataset import take_rows
-from subsetharmony.synth import blob_dataset
+from subsetharmony.dataset import project, standardize, take_rows
+from subsetharmony.synth import blob_dataset, planted_dataset
 
 
 def _knn_config(**kw) -> ObjectiveConfig:
@@ -180,6 +184,60 @@ class TestSubsetObjective:
             ObjectiveConfig(classifier="svm")
         with pytest.raises(ValueError):
             ObjectiveConfig(folds=1)
+
+
+class TestFoldPlan:
+    def test_z_scores_match_slice_then_standardize(self):
+        # full-width standardization is the reference; standardizing the
+        # subset's columns alone sums a one-column slice in another order
+        for seed in range(3):
+            d, _ = planted_dataset(150, 20, 3, seed=seed)
+            cfg = _knn_config(folds=3, fold_seed=seed)
+            rng = np.random.default_rng(seed)
+            subsets = [(j,) for j in range(d.n_features)] + [
+                tuple(rng.choice(d.n_features, size=int(rng.integers(2, 8)), replace=False))
+                for _ in range(10)]
+            folds = wrapper.stratified_kfold(d, cfg.folds, cfg.fold_seed)
+            for (train_rows, test_rows), plan_pair in zip(folds, wrapper.fold_plan(d, cfg)):
+                for cols in subsets:
+                    s = FeatureSubset(cols)
+                    sliced = standardize(project(take_rows(d, train_rows), s),
+                                         project(take_rows(d, test_rows), s))
+                    for old, part in zip(sliced, plan_pair):
+                        z = project(part, s).features
+                        assert np.all(np.abs(z - old.features)
+                                      <= 1e-15 * np.maximum(1.0, np.abs(z)))
+
+    def test_built_once_per_dataset_and_fold_setting(self, monkeypatch):
+        calls = []
+        real = wrapper.stratified_kfold
+        monkeypatch.setattr(wrapper, "stratified_kfold",
+                            lambda *args: calls.append(args[1:]) or real(*args))
+        d = blob_dataset(n_per_class=10, n_features=5, n_classes=2, seed=1)
+        cfg = _knn_config(folds=3, fold_seed=4)
+        obj = SubsetObjective(d, cfg)
+        assert calls == []  # built on the first miss, not before
+        first = obj(FeatureSubset((0, 2)))
+        obj(FeatureSubset((1, 3, 4)))
+        obj.reset_cache()
+        assert obj(FeatureSubset((2, 0))) == first
+        assert evaluate_subset(d, FeatureSubset((0, 2)), cfg).accuracy_percent == first
+        assert calls == [(3, 4)]
+        evaluate_subset(d, FeatureSubset((0, 2)), _knn_config(folds=3, fold_seed=5))
+        assert calls == [(3, 4), (3, 5)]
+
+    def test_leave_one_out_builds_no_plan(self):
+        d = blob_dataset(n_per_class=5, n_features=3, n_classes=2, seed=2)
+        LeaveOneOutObjective(d)(FeatureSubset((0, 1)))
+        assert d not in wrapper._PLANS
+
+    def test_plan_dies_with_its_dataset(self):
+        d = blob_dataset(n_per_class=5, n_features=3, n_classes=2, seed=2)
+        train, _ = wrapper.fold_plan(d, _knn_config())[0]
+        alive = [weakref.ref(d), weakref.ref(train)]
+        del d, train
+        gc.collect()
+        assert [ref() for ref in alive] == [None, None]
 
 
 @st.composite
