@@ -292,34 +292,44 @@ def mlp_loss(model: MlpModel, sample: np.ndarray, label: int) -> float:
     return float(-np.log(probs[label]))
 
 
-# query rows per block are sized so the (q, t, f) difference tensor holds
-# about this many float64 values (2 MiB), whatever the number of queries
-_BLOCK_VALUES = 1 << 18
+# query rows per block are sized so one (q, t) distance plane holds about
+# this many float64 values (256 KiB, which stays in L2), whatever the number
+# of queries
+_BLOCK_VALUES = 1 << 15
 
 
 def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
               queries: np.ndarray, k: int, skip_self: bool = False) -> np.ndarray:
     """The one kNN rule: class ids voted by the k nearest training rows.
 
-    Squared Euclidean distances come from direct differences. The neighbours
-    are the rows at or below each query's k-th distance, found by partition;
-    where that distance is shared by more rows than fit, the lower training-row
-    indices win, and tied votes go to the lowest class id. k beyond the rows
-    available takes them all. skip_self=True is leave-one-out: queries are the
-    training rows themselves, and query i never counts training row i among its
-    neighbours.
+    The squared Euclidean distance of a query to a training row is the sum of
+    the squared feature differences, added left to right in column order: one
+    contiguous (q, t) plane of differences per feature, squared in place and
+    added to the running sum. The neighbours are the rows at or below each
+    query's k-th distance, found by partition; where that distance is shared by
+    more rows than fit, the lower training-row indices win, and tied votes go
+    to the lowest class id. k beyond the rows available takes them all.
+    skip_self=True is leave-one-out: queries are the training rows themselves,
+    and query i never counts training row i among its neighbours.
     """
     n_queries = queries.shape[0]
-    k = min(k, train_x.shape[0] - skip_self)
-    rows = max(1, _BLOCK_VALUES // train_x.size)
+    n_train = train_x.shape[0]
+    k = min(k, n_train - skip_self)
+    rows = max(1, _BLOCK_VALUES // n_train)
     out = np.zeros(n_queries, dtype=np.int64)
     if k < 1:
         return out
+    # one contiguous row per feature, so each plane reads two contiguous columns
+    train_cols = np.ascontiguousarray(train_x.T)
+    plane = np.empty((min(rows, n_queries), n_train))
     for start in range(0, n_queries, rows):
-        block = queries[start:start + rows]
-        q = block.shape[0]
-        diffs = block[:, None, :] - train_x[None, :, :]
-        sq_dist = np.einsum("qtf,qtf->qt", diffs, diffs)
+        block = np.ascontiguousarray(queries[start:start + rows].T)
+        q = block.shape[1]
+        sq_dist = np.subtract.outer(block[0], train_cols[0])
+        np.square(sq_dist, out=sq_dist)
+        for query_col, train_col in zip(block[1:], train_cols[1:]):
+            diff = np.subtract.outer(query_col, train_col, out=plane[:q])
+            sq_dist += np.square(diff, out=diff)
         if skip_self:
             # nan fails both comparisons below, so no query picks its own row
             sq_dist[np.arange(q), np.arange(start, start + q)] = np.nan
@@ -342,9 +352,10 @@ def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
 def knn_predict(train: Dataset, cfg: KnnConfig, samples: Dataset) -> np.ndarray:
     """Majority vote over the k nearest training rows by Euclidean distance.
 
-    Deterministic and exact (_knn_vote's top-k rule): equal distances favour
-    the lower training-row index and vote ties favour the lower class id; k
-    beyond the training rows takes them all.
+    Deterministic and exact (_knn_vote's top-k rule): the squared distance is
+    a column-order sum of per-feature squared differences, equal distances
+    favour the lower training-row index and vote ties favour the lower class
+    id; k beyond the training rows takes them all.
     """
     if samples.n_features != train.n_features:
         raise ValueError(

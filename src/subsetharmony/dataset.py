@@ -222,12 +222,14 @@ def project(d: Dataset, s: FeatureSubset) -> Dataset:
         if i >= d.n_features:
             raise DatasetError(f"feature index {i} out of range for {d.n_features} columns")
     cols = list(s.indices)
-    return Dataset(
-        features=d.features[:, cols],
-        labels=d.labels,
-        feature_names=tuple(d.feature_names[i] for i in cols),
-        class_names=d.class_names,
-    )
+    # columns of a checked Dataset are checked: skip __post_init__
+    out = object.__new__(Dataset)
+    for field, value in (("features", _frozen(d.features.take(cols, axis=1))),
+                         ("labels", d.labels),
+                         ("feature_names", tuple(d.feature_names[i] for i in cols)),
+                         ("class_names", d.class_names)):
+        object.__setattr__(out, field, value)
+    return out
 
 
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:

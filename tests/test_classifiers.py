@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,16 @@ class TestKnn:
         predicted = knn_predict(train, KnnConfig(k_neighbors=4), test)
         assert np.array_equal(predicted, [0, 0])
 
+    def test_distance_sums_columns_left_to_right(self):
+        # left to right, row 0's two 2.25 * 2**-54 terms each round 1 up by an
+        # ulp, so row 1 (1 + 2**-52) is nearer; summing columns 0 and 2 first
+        # (as two-lane SIMD sums do) would tie the rows and pick row 0
+        tiny = 1.5 * 2.0**-27
+        train = Dataset(np.array([[tiny, 1.0, tiny], [1.0, 2.0**-26, 0.0]]), np.array([0, 1]),
+                        ("a", "b", "c"), ("zero", "one"))
+        query = Dataset(np.zeros((1, 3)), np.array([0]), ("a", "b", "c"), ("zero", "one"))
+        assert knn_predict(train, KnnConfig(k_neighbors=1), query)[0] == 1
+
     def test_oversize_k_clamps_to_train_size(self):
         train = Dataset(np.array([[0.0], [2.0]]), np.array([0, 1]), ("f",), ("a", "b"))
         a = knn_predict(train, KnnConfig(k_neighbors=99), train)
@@ -229,10 +241,17 @@ class TestKnn:
         assert np.array_equal(a, b)
 
 
+def _column_order_sq_dist(queries, train_x):
+    """(q, t) squared distances, adding the columns' squared differences left to right."""
+    sq_dist = np.zeros((len(queries), len(train_x)))
+    for j in range(train_x.shape[1]):
+        sq_dist += (queries[:, j, None] - train_x[None, :, j]) ** 2
+    return sq_dist
+
+
 def _single_block_vote(train_x, train_y, n_classes, queries, k, skip_self=False):
-    """Reference rule: one (q, t, f) tensor for all queries, a bincount per row."""
-    diffs = queries[:, None, :] - train_x[None, :, :]
-    sq_dist = np.einsum("qtf,qtf->qt", diffs, diffs)
+    """Reference rule: one (q, t) distance array for all queries, a bincount per row."""
+    sq_dist = _column_order_sq_dist(queries, train_x)
     if skip_self:
         np.fill_diagonal(sq_dist, np.inf)
     order = np.argsort(sq_dist, axis=1, kind="stable")[:, :k]
@@ -252,8 +271,8 @@ class TestKnnBlocks:
         train = Dataset(x, y, names, classes)
         queries = Dataset(rng.integers(0, 4, size=(350, n_features)) / 10.0,
                           np.zeros(350, dtype=np.int64), names, classes)
-        rows_per_block = _BLOCK_VALUES // x.size
-        assert queries.n_samples > 2 * rows_per_block
+        rows_per_block = _BLOCK_VALUES // n
+        assert min(queries.n_samples, n) > 2 * rows_per_block
         for k in (1, 4, 7):
             got = knn_predict(train, KnnConfig(k_neighbors=k), queries)
             want = _single_block_vote(x, y, n_classes, queries.features, k)
@@ -264,8 +283,7 @@ class TestKnnBlocks:
 
 def _kth_shared_beyond_k(train_x, queries, k, skip_self):
     """True if some query's k-th nearest distance is shared by more than k rows."""
-    diffs = queries[:, None, :] - train_x[None, :, :]
-    sq_dist = np.einsum("qtf,qtf->qt", diffs, diffs)
+    sq_dist = _column_order_sq_dist(queries, train_x)
     if skip_self:
         np.fill_diagonal(sq_dist, np.inf)
     kth = np.sort(sq_dist, axis=1)[:, k - 1:k]
@@ -310,6 +328,78 @@ class TestKnnTopK:
         got = _knn_vote(x, y, n_classes, queries, len(x) + 2, skip_self)
         assert np.array_equal(got, _single_block_vote(x, y, n_classes, queries, usable,
                                                       skip_self))
+
+
+def _python_vote(train_x, train_y, n_classes, queries, k, skip_self):
+    """Reference in plain Python floats: each distance is an explicit left-to-right
+    loop over the columns, the k nearest rows come from a sort by (distance, row
+    index), and the lowest class id wins a tied vote."""
+    votes = []
+    for i, query in enumerate(queries.tolist()):
+        ranked = []
+        for j, row in enumerate(train_x.tolist()):
+            if skip_self and i == j:
+                continue
+            total = 0.0
+            for a, b in zip(query, row):
+                total += (a - b) * (a - b)
+            ranked.append((total, j))
+        counts = [0] * n_classes
+        for _, j in sorted(ranked)[:k]:
+            counts[int(train_y[j])] += 1
+        votes.append(counts.index(max(counts)))
+    return votes
+
+
+@st.composite
+def _mixed_votes(draw):
+    """Either rows of -1, 0 or 1 times 1 or 2**-26 (or 2**-27), whose small squares
+    sit near half an ulp of 1, so distances tie or differ only in how a sum of
+    three or more terms rounds; or rows of grid values and arbitrary floats."""
+    n_classes = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n_features, n_rows = draw(st.integers(3, 6)), (4, 12)
+        small = 2.0 ** draw(st.sampled_from([-26, -27]))
+        value = st.builds(lambda m, scale: m * scale, st.integers(-1, 1),
+                          st.sampled_from([1.0, small]))
+    else:
+        n_features, n_rows = draw(st.integers(1, 6)), (1, 12)
+        value = st.one_of(st.integers(0, 3).map(lambda v: v / 10.0),
+                          st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False))
+    row = st.lists(value, min_size=n_features, max_size=n_features)
+    x = np.array(draw(st.lists(row, min_size=n_rows[0], max_size=n_rows[1])))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=len(x),
+                               max_size=len(x))))
+    skip_self = draw(st.booleans())
+    queries = x if skip_self else np.array(draw(st.lists(row, min_size=n_rows[0],
+                                                         max_size=3 * n_rows[1])))
+    k = draw(st.integers(1, len(x) + 1))
+    return x, y, n_classes, queries, k, skip_self
+
+
+class TestKnnDistanceOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(_mixed_votes())
+    def test_equals_python_reference(self, case):
+        x, y, n_classes, queries, k, skip_self = case
+        got = _knn_vote(x, y, n_classes, queries, k, skip_self)
+        assert got.tolist() == _python_vote(x, y, n_classes, queries, k, skip_self)
+
+
+class TestKnnMemory:
+    def test_leave_one_out_peak_is_bounded(self):
+        # the kernel holds a few (q, t) planes of _BLOCK_VALUES values, never the
+        # (n, n, f) difference tensor (376 MiB here) or even one (n, n) array (8 MiB)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(1020, 48))
+        y = rng.integers(0, 3, size=1020)
+        tracemalloc.start()
+        try:
+            _knn_vote(x, y, 3, x, 5, skip_self=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def _piecewise_sigmoid(z):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subsetharmony as sh
 from subsetharmony import Dataset, DatasetError, FeatureSubset
@@ -236,6 +238,26 @@ class TestProject:
     def test_out_of_range_rejected(self, tiny8):
         with pytest.raises(DatasetError, match="out of range"):
             sh.project(tiny8, FeatureSubset((0, 99)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equals_checked_construction(self, data):
+        # project skips Dataset's checks; the result must be what they would build
+        n, n_features = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        d = Dataset(rng.normal(size=(n, n_features)), rng.integers(0, 3, size=n),
+                    tuple(f"f{i}" for i in range(n_features)), ("a", "b", "c"))
+        cols = data.draw(st.lists(st.integers(0, n_features - 1), min_size=1, unique=True))
+        got = sh.project(d, FeatureSubset(tuple(cols)))
+        want = Dataset(d.features[:, cols], d.labels, tuple(d.feature_names[i] for i in cols),
+                       d.class_names)
+        for a, b in ((got.features, want.features), (got.labels, want.labels)):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape and a.dtype == b.dtype
+            assert not a.flags.writeable and a.flags.c_contiguous
+        assert got.feature_names == want.feature_names
+        assert got.class_names == want.class_names
+        with pytest.raises(DatasetError, match="out of range"):
+            sh.project(d, FeatureSubset((*cols[:-1], n_features + data.draw(st.integers(0, 5)))))
 
 
 class TestStandardize:
