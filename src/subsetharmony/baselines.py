@@ -106,12 +106,18 @@ def _repair_duplicates(genes: list[int], rng: np.random.Generator, n_features: i
 def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
     """Generational GA: tournament(2) selection, single-point crossover on
     sorted index lists with duplicate repair, per-gene mutation, elitism 1.
+
+    The initial population and each generation's children are whole lists
+    before any of them is scored, so each is handed to the objective's
+    prefetch (RunLog.prefetch) first: one batch per generation, with the
+    calls, counts and results of scoring them one at a time.
     """
     rng = np.random.default_rng(cfg.seed)
     k, n = cfg.subset_size, cfg.n_features
     log = RunLog(objective)
 
     population = [random_subset(n, k, rng) for _ in range(cfg.population)]
+    log.prefetch(population)
     fitnesses = [log(s) for s in population]
 
     def tournament() -> FeatureSubset:
@@ -139,6 +145,7 @@ def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
                         genes[slot] = int(unused[rng.integers(len(unused))])
             children.append(FeatureSubset(tuple(genes)))
         population = [elite.subset] + children
+        log.prefetch(children)
         fitnesses = [elite.fitness] + [log(c) for c in children]
         log.end_iteration(min(fitnesses), log.best is not elite)
     return log.result()
@@ -172,7 +179,9 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     Velocities follow the classic update v <- w*v + c1*r1*(pbest-x) +
     c2*r2*(gbest-x), clamped to +/- VELOCITY_CLAMP; sigmoid(v) is the
     per-dimension inclusion probability. gbest is the run's best, updated
-    as soon as any particle improves on it.
+    as soon as any particle improves on it. Only the initial swarm is handed
+    to the objective's prefetch (RunLog.prefetch): every later position
+    depends on the gbest of the particles scored before it.
     """
     rng = np.random.default_rng(cfg.seed)
     k, n = cfg.subset_size, cfg.n_features
@@ -183,10 +192,14 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
         positions[p, rng.choice(n, size=k, replace=False)] = True
     velocities = np.zeros((cfg.particles, n))
 
+    def subset(mask: np.ndarray) -> FeatureSubset:
+        return FeatureSubset(tuple(int(i) for i in np.flatnonzero(mask)))
+
     def score(mask: np.ndarray) -> float:
-        return log(FeatureSubset(tuple(int(i) for i in np.flatnonzero(mask))))
+        return log(subset(mask))
 
     pbest_pos = positions.copy()
+    log.prefetch([subset(mask) for mask in positions])
     pbest_fit = np.array([score(positions[p]) for p in range(cfg.particles)])
     gbest_pos = pbest_pos[int(np.argmax(pbest_fit))].copy()
 
@@ -289,7 +302,7 @@ def evaluate_components(d: Dataset, r: int, cfg: ObjectiveConfig) -> EvaluationR
         model = pca_fit(train, r)
         return pca_transform(model, train), pca_transform(model, test)
 
-    return cross_validate(d, cfg, reduce)
+    return cross_validate(d, cfg, [reduce])[0]
 
 
 @dataclass(frozen=True)

@@ -180,11 +180,16 @@ def _head(w: np.ndarray, v: np.ndarray, g: np.ndarray, k: int,
 
 def _sgd_step(head: tuple, x: np.ndarray, target: np.ndarray, probs: np.ndarray,
               lr: float, momentum: float) -> None:
-    """One online step of the networks in head: v <- momentum*v - lr*grad, w <- w + v."""
+    """One online step of the networks in head: v <- momentum*v - lr*grad, w <- w + v.
+
+    The gradients are scaled by lr in place, which gives the bits of lr * g
+    without a (B, P) temporary; _backprop overwrites them on the next step.
+    """
     w, v, g, w_layers, g_layers = head
     _backprop(*w_layers, x, target, g_layers, probs)
     np.multiply(v, momentum, out=v)
-    v -= lr * g
+    np.multiply(g, lr, out=g)
+    v -= g
     w += v
 
 

@@ -22,6 +22,10 @@ from .subsets import FeatureSubset, check_subset_size
 
 PITCH_TOPOLOGIES = ("index", "column")
 
+# candidates hs_run improvises ahead against an unchanged memory and hands to
+# the objective's prefetch as one batch
+DEPTH = 4
+
 
 @dataclass(frozen=True)
 class Harmony:
@@ -146,6 +150,8 @@ class RunLog:
     keeps the first subset that reaches the highest fitness seen.
     end_iteration appends one history row: the best fitness so far, the
     iteration's worst fitness, and the optimizer's replaced/improved flag.
+    prefetch hands a batch of subsets the run may score next to an objective
+    that has a prefetch (SubsetObjective); it counts nothing.
     """
 
     def __init__(self, objective) -> None:
@@ -160,6 +166,9 @@ class RunLog:
         if self.best is None or fitness > self.best.fitness:
             self.best = Harmony(subset, fitness)
         return fitness
+
+    def prefetch(self, subsets: list[FeatureSubset]) -> None:
+        _prefetch(self._objective, subsets)
 
     def end_iteration(self, worst: float, flag: bool) -> None:
         self._rows.append((self.best.fitness, worst, flag))
@@ -262,19 +271,26 @@ def random_subset(n_features: int, k: int, rng: np.random.Generator) -> FeatureS
     return FeatureSubset(tuple(int(i) for i in indices))
 
 
+def _prefetch(objective, subsets: list[FeatureSubset]) -> None:
+    """Hand subsets to objective.prefetch, if the objective has one."""
+    prefetch = getattr(objective, "prefetch", None)
+    if prefetch is not None:
+        prefetch(subsets)
+
+
 def initialize_memory(cfg: HsConfig, objective, rng: np.random.Generator | None = None) -> HarmonyMemory:
     """Fill the memory with hms random evaluated subsets.
 
-    Whole-subset duplicates across rows are allowed; the evaluation cache
-    makes re-scoring them free.
+    The draws do not depend on any score, so all hms subsets are drawn
+    first and handed to the objective's prefetch, if it has one, as one
+    batch; they are then scored in draw order. Whole-subset duplicates
+    across rows are allowed; the evaluation cache makes re-scoring them free.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    harmonies = []
-    for _ in range(cfg.hms):
-        subset = random_subset(cfg.n_features, cfg.subset_size, rng)
-        harmonies.append(Harmony(subset, float(objective(subset))))
-    return HarmonyMemory(harmonies)
+    subsets = [random_subset(cfg.n_features, cfg.subset_size, rng) for _ in range(cfg.hms)]
+    _prefetch(objective, subsets)
+    return HarmonyMemory([Harmony(subset, float(objective(subset))) for subset in subsets])
 
 
 def replace_worst(memory: HarmonyMemory, candidate: Harmony) -> bool:
@@ -291,13 +307,33 @@ def hs_run(cfg: HsConfig, objective) -> tuple[Harmony, RunHistory]:
 
     `objective` maps a FeatureSubset to an accuracy percent. Deterministic
     given cfg.seed; issues exactly hms + max_iterations objective calls.
+
+    The search is speculative and exact. A candidate depends only on the
+    rng state and the memory, and the memory changes only on replacement,
+    so each round improvises up to DEPTH candidates against the unchanged
+    memory, saving the rng state before each, and hands them to the
+    objective's prefetch as one batch. They are then scored and accepted
+    in order up to and including the first that replaces a memory entry;
+    the rest are dropped, and the rng goes back to the state saved before
+    the first dropped one. Objective calls, their order and every result
+    are those of improvising, scoring and replacing one candidate at a time.
     """
     rng = np.random.default_rng(cfg.seed)
     log = RunLog(objective)
     memory = initialize_memory(cfg, log, rng)
-    for _ in range(cfg.max_iterations):
-        candidate_subset = improvise(memory, cfg, rng)
-        candidate = Harmony(candidate_subset, log(candidate_subset))
-        replaced = replace_worst(memory, candidate)
-        log.end_iteration(memory.worst().fitness, replaced)
+    remaining = cfg.max_iterations
+    while remaining:
+        states, subsets = [], []
+        for _ in range(min(DEPTH, remaining)):
+            states.append(rng.bit_generator.state)
+            subsets.append(improvise(memory, cfg, rng))
+        log.prefetch(subsets)
+        for i, subset in enumerate(subsets):
+            replaced = replace_worst(memory, Harmony(subset, log(subset)))
+            log.end_iteration(memory.worst().fitness, replaced)
+            remaining -= 1
+            if replaced:
+                if i + 1 < len(subsets):
+                    rng.bit_generator.state = states[i + 1]
+                break
     return log.result()

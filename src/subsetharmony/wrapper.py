@@ -14,13 +14,23 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
-from .classifiers import KnnConfig, MlpConfig, _knn_vote, knn_predict, mlp_predict, mlp_train_many
+from .classifiers import (
+    KnnConfig,
+    MlpConfig,
+    MlpModel,
+    TrainingDivergedError,
+    _knn_vote,
+    default_hidden_neurons,
+    knn_predict,
+    mlp_predict,
+    mlp_train_many,
+)
 # not called here: perfbench/tracing.py still resolves and patches wrapper.mlp_train
 from .classifiers import mlp_train  # noqa: F401
 from .dataset import Dataset, project, standardize, stratified_kfold, take_rows
@@ -121,29 +131,66 @@ def fold_plan(d: Dataset, cfg: ObjectiveConfig) -> FoldPairs:
     return plans[key]
 
 
+Transform = Callable[[Dataset, Dataset], tuple[Dataset, Dataset]]
+
+# a lockstep batch holds as many whole members as keep its (B, P) weight,
+# momentum and gradient arrays under about this many bytes (1 MiB, which stays
+# in L2); one member alone is never split
+_BATCH_BYTES = 1 << 20
+
+
 def cross_validate(
     d: Dataset,
     cfg: ObjectiveConfig,
-    transform: Callable[[Dataset, Dataset], tuple[Dataset, Dataset]] | None = None,
-) -> EvaluationResult:
-    """Stratified k-fold CV accuracy of the configured classifier on d.
+    transforms: Sequence[Transform | None] = (None,),
+) -> list[EvaluationResult]:
+    """Stratified k-fold CV accuracy of the configured classifier on d, once per transform.
 
-    Scores the folds of fold_plan(d, cfg), each first passed through
-    `transform(train, test)` if given; a transform fitted on the training
-    part only keeps the test part unseen. The MLP folds train in lockstep
-    (mlp_train_many), each to the bits it would reach alone.
+    Each member scores the folds of fold_plan(d, cfg), each first passed
+    through its `transform(train, test)` unless that is None; a transform
+    fitted on the training part only keeps the test part unseen. The MLP
+    folds of all members train in lockstep (mlp_train_many), in batches
+    capped by _BATCH_BYTES, each to the bits it would reach alone; a batch
+    whose training diverges raises TrainingDivergedError and scores nothing.
     """
-    pairs = fold_plan(d, cfg)
-    if transform is not None:
-        pairs = [transform(train, test) for train, test in pairs]
+    plan = fold_plan(d, cfg)
+    members = [plan if transform is None else [transform(train, test) for train, test in plan]
+               for transform in transforms]
     if cfg.classifier == "mlp":
-        models = mlp_train_many([train for train, _ in pairs], cfg.mlp)
-        predictions = [mlp_predict(model, test) for model, (_, test) in zip(models, pairs)]
+        predictions = [[mlp_predict(model, test) for model, (_, test) in zip(models, pairs)]
+                       for models, pairs in zip(_train_members(members, cfg), members)]
     else:
-        predictions = [knn_predict(train, cfg.knn, test) for train, test in pairs]
-    return _result([int((predicted == test.labels).sum())
-                    for predicted, (_, test) in zip(predictions, pairs)],
-                   [test.n_samples for _, test in pairs], cfg.fold_average)
+        predictions = [[knn_predict(train, cfg.knn, test) for train, test in pairs]
+                       for pairs in members]
+    return [_result([int((predicted == test.labels).sum())
+                     for predicted, (_, test) in zip(member_predictions, pairs)],
+                    [test.n_samples for _, test in pairs], cfg.fold_average)
+            for member_predictions, pairs in zip(predictions, members)]
+
+
+def _train_members(members: list, cfg: ObjectiveConfig) -> list[list[MlpModel]]:
+    """One trained MLP per fold of every member, in lockstep batches of whole members.
+
+    Members are grouped by feature count, as mlp_train_many needs, and each
+    group is cut in order into batches of as many members as fit _BATCH_BYTES.
+    All batches train before any result is returned.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, pairs in enumerate(members):
+        groups.setdefault(pairs[0][0].n_features, []).append(i)
+    models: list = [None] * len(members)
+    for f, group in groups.items():
+        c = members[group[0]][0][0].n_classes
+        h = cfg.mlp.hidden_neurons or default_hidden_neurons(f, c)
+        member_bytes = 3 * 8 * ((f + 1) * h + (h + 1) * c) * cfg.folds
+        size = max(1, _BATCH_BYTES // member_bytes)
+        for start in range(0, len(group), size):
+            batch = group[start:start + size]
+            trained = iter(mlp_train_many([train for i in batch for train, _ in members[i]],
+                                          cfg.mlp))
+            for i in batch:
+                models[i] = [next(trained) for _ in members[i]]
+    return models
 
 
 def _result(correct: list[int], total: list[int], fold_average: bool) -> EvaluationResult:
@@ -160,8 +207,13 @@ def evaluate_subset(d: Dataset, s: FeatureSubset, cfg: ObjectiveConfig) -> Evalu
     Each fold of the plan is projected onto the columns in ascending index
     order, so a feature set scores the same whatever the order of its slots.
     """
-    cols = FeatureSubset(s.key)
-    return cross_validate(d, cfg, lambda train, test: (project(train, cols), project(test, cols)))
+    return cross_validate(d, cfg, [_projection(s.key)])[0]
+
+
+def _projection(key: tuple[int, ...]) -> Transform:
+    """The fold transform that cuts a fold's parts to the key's columns, ascending."""
+    cols = FeatureSubset(key)
+    return lambda train, test: (project(train, cols), project(test, cols))
 
 
 class SubsetObjective:
@@ -171,14 +223,18 @@ class SubsetObjective:
     full per-fold result. Results are cached under the canonical (sorted)
     subset key and returned verbatim on re-query of the same feature set in
     any order. `calls` counts objective invocations including cache hits;
-    `unique_evaluations` counts actual scoring runs. The first miss builds
-    the dataset's fold plan (fold_plan); reset_cache keeps it.
+    `unique_evaluations` counts the distinct subsets evaluate has returned.
+    `prefetch` scores MLP misses ahead of time in one lockstep batch; they
+    wait in `pending` and count only once evaluate asks for them, so every
+    count and result is the one scoring on demand gives. The first miss
+    builds the dataset's fold plan (fold_plan); reset_cache keeps it.
     """
 
     def __init__(self, dataset: Dataset, config: ObjectiveConfig) -> None:
         self.dataset = dataset
         self.config = config
         self.cache: dict[tuple[int, ...], EvaluationResult] = {}
+        self.pending: dict[tuple[int, ...], EvaluationResult] = {}
         self.calls = 0
 
     def __call__(self, subset: FeatureSubset) -> float:
@@ -188,7 +244,9 @@ class SubsetObjective:
         self.calls += 1
         result = self.cache.get(subset.key)
         if result is None:
-            result = self._score(subset)
+            result = self.pending.pop(subset.key, None)
+            if result is None:
+                result = self._score(subset)
             self.cache[subset.key] = result
         return result
 
@@ -196,12 +254,36 @@ class SubsetObjective:
         """Score one subset on a cache miss; subclasses replace only this."""
         return evaluate_subset(self.dataset, subset, self.config)
 
+    def prefetch(self, subsets: Iterable[FeatureSubset]) -> None:
+        """Score the subsets neither cached nor pending through one cross_validate call.
+
+        The results, the bits evaluate_subset gives, wait in `pending` until
+        evaluate first asks for them; one never asked for never counts. Only
+        MLP training gains from a batch, so a kNN objective (leave-one-out
+        included) prefetches nothing. If the batch diverges nothing is
+        stored: each subset is scored when it is asked for, and only a
+        diverging one raises.
+        """
+        if self.config.classifier != "mlp":
+            return
+        keys = [key for key in dict.fromkeys(s.key for s in subsets)
+                if key not in self.cache and key not in self.pending]
+        if not keys:
+            return
+        try:
+            results = cross_validate(self.dataset, self.config,
+                                     [_projection(key) for key in keys])
+        except TrainingDivergedError:
+            return
+        self.pending.update(zip(keys, results))
+
     @property
     def unique_evaluations(self) -> int:
         return len(self.cache)
 
     def reset_cache(self) -> None:
         self.cache.clear()
+        self.pending.clear()
         self.calls = 0
 
 

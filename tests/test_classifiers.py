@@ -490,7 +490,7 @@ class TestLockstep:
             _assert_same_bits(model, reference)
         correct = [int((mlp_predict(m, test) == test.labels).sum())
                    for m, (_, test) in zip(references, pairs)]
-        result = cross_validate(d, cfg)
+        [result] = cross_validate(d, cfg)
         assert result.correct_count == sum(correct)
         assert result.per_fold_accuracy == tuple(
             100.0 * c / test.n_samples for c, (_, test) in zip(correct, pairs))

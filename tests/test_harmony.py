@@ -13,8 +13,11 @@ from subsetharmony import (
     HarmonyMemory,
     HsConfig,
     LeaveOneOutObjective,
+    MlpConfig,
+    ObjectiveConfig,
     PsoConfig,
     RunHistory,
+    SubsetObjective,
     ga_run,
     hs_run,
     improvise,
@@ -24,6 +27,9 @@ from subsetharmony import (
     random_subset,
     replace_worst,
 )
+from subsetharmony import harmony
+from subsetharmony.harmony import RunLog
+from subsetharmony.synth import planted_dataset
 
 
 def _reference_index_walk(value, band, eps, forbidden, n_features):
@@ -381,6 +387,66 @@ class TestHsRun:
                        seed=0, pitch_topology="column")
         found, _ = hs_run(cfg, LeaveOneOutObjective(tiny8))
         assert found.subset.key == (0, 5, 7)
+
+
+def _sequential_hs_run(cfg: HsConfig, objective):
+    """Reference: one candidate improvised, scored and accepted at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    log = RunLog(objective)
+    harmonies = []
+    for _ in range(cfg.hms):
+        subset = random_subset(cfg.n_features, cfg.subset_size, rng)
+        harmonies.append(Harmony(subset, log(subset)))
+    memory = HarmonyMemory(harmonies)
+    for _ in range(cfg.max_iterations):
+        subset = improvise(memory, cfg, rng)
+        replaced = replace_worst(memory, Harmony(subset, log(subset)))
+        log.end_iteration(memory.worst().fitness, replaced)
+    return log.result()
+
+
+class _Spy:
+    """Records the subsets an objective is asked to score, in order."""
+
+    def __init__(self, objective: SubsetObjective) -> None:
+        self.objective = objective
+        self.asked: list[tuple[int, ...]] = []
+        self.prefetched = 0
+
+    def __call__(self, subset: FeatureSubset) -> float:
+        self.asked.append(subset.indices)
+        return self.objective(subset)
+
+    def prefetch(self, subsets) -> None:
+        self.prefetched += len(subsets)
+        self.objective.prefetch(subsets)
+
+
+_SPECULATION_DATA = planted_dataset(36, 6, n_informative=2, seed=3)[0]
+
+
+class TestSpeculativeHs:
+    @settings(max_examples=40, deadline=None)
+    @given(depth=st.integers(1, 6), seed=st.integers(0, 2**16), hms=st.integers(1, 6),
+           iterations=st.integers(1, 14), subset_size=st.integers(1, 3),
+           hmcr=st.sampled_from([0.0, 0.7, 1.0]))
+    def test_equals_sequential_reference(self, depth, seed, hms, iterations, subset_size,
+                                         hmcr):
+        cfg = HsConfig(n_features=6, subset_size=subset_size, hms=hms, hmcr=hmcr,
+                       max_iterations=iterations, seed=seed)
+        obj_cfg = ObjectiveConfig(mlp=MlpConfig(epochs=1, seed=seed), folds=2)
+        reference = _Spy(SubsetObjective(_SPECULATION_DATA, obj_cfg))
+        speculative = _Spy(SubsetObjective(_SPECULATION_DATA, obj_cfg))
+        expected = _sequential_hs_run(cfg, reference)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harmony, "DEPTH", depth)
+            got = hs_run(cfg, speculative)
+        assert got == expected
+        assert speculative.asked == reference.asked
+        assert (speculative.objective.calls, speculative.objective.unique_evaluations) == (
+            reference.objective.calls, reference.objective.unique_evaluations)
+        assert speculative.objective.cache == reference.objective.cache
+        assert speculative.prefetched >= hms + min(depth, iterations)
 
 
 class TestRandomSubset:

@@ -69,20 +69,33 @@ def test_small_workload_passes_its_checks(tmp_path, traced):
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-def test_small_mlp_workload_passes_its_checks(tmp_path, traced):
+def test_small_mlp_workload_passes_its_checks(tmp_path, traced, monkeypatch):
     # the MLP path: every best fitness must equal a fresh evaluation, which
     # trains the folds in lockstep again from scratch
     wl = workloads.Workload("contract_mlp", 60, 6, 2, "mlp", 2, ("hs", "ga", "pca"), True,
                             epochs=2, generations=3, components=2)
     inputs = workloads.make_inputs(wl, 1, 0, tmp_path)
+    # subsets prefetch scored in a batch, outside evaluate_subset
+    batched = []
+    prefetch = SubsetObjective.prefetch
+
+    def counting_prefetch(self, subsets):
+        before = len(self.pending)
+        prefetch(self, subsets)
+        batched.append(len(self.pending) - before)
+
+    monkeypatch.setattr(SubsetObjective, "prefetch", counting_prefetch)
     tracer = tracing.Tracer() if traced else None
     rep = workloads.run_rep(wl, inputs, tracer)
     attempted, failures = workloads.check_rep(wl, inputs, rep, tmp_path, tracer)
     assert (attempted, failures) == (len(wl.optimizers) + 1, [])
+    assert sum(batched) > 0
     if traced:
         by_name, _ = tracing.summarize(tracer.spans)
         assert by_name["wrapper.objective"]["calls"] == sum(c for c, _ in rep.segments)
-        # one prediction per fold of every subset and PCA evaluation
+        # one prediction per fold of every subset scored on demand or in a
+        # batch, and of every PCA evaluation; HS and GA hand every miss to a
+        # batch here, so evaluate_subset may have no span at all
+        on_demand = by_name.get("wrapper.evaluate_subset", {"calls": 0})["calls"]
         assert by_name["classifiers.mlp_predict"]["calls"] == 3 * (
-            by_name["wrapper.evaluate_subset"]["calls"]
-            + by_name["baselines.evaluate_components"]["calls"])
+            on_demand + sum(batched) + by_name["baselines.evaluate_components"]["calls"])

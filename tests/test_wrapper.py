@@ -10,14 +10,17 @@ from subsetharmony import (
     Dataset,
     EvaluationResult,
     FeatureSubset,
+    HsConfig,
     KnnConfig,
     LeaveOneOutObjective,
     MlpConfig,
     ObjectiveConfig,
     SubsetObjective,
+    TrainingDivergedError,
     accuracy,
     confidence_interval,
     evaluate_subset,
+    hs_run,
     loo_knn_accuracy,
     wrapper,
 )
@@ -184,6 +187,110 @@ class TestSubsetObjective:
             ObjectiveConfig(classifier="svm")
         with pytest.raises(ValueError):
             ObjectiveConfig(folds=1)
+
+
+def _mlp_config(**kw) -> ObjectiveConfig:
+    return ObjectiveConfig(mlp=MlpConfig(epochs=2, seed=3, **kw), folds=3, fold_seed=1)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's first argument."""
+    seen = []
+    real = getattr(module, name)
+
+    def spy(first, *args, **kwargs):
+        seen.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def _divergent():
+    """Data on which, at _divergent_config, every one-feature subset trains
+    and (0, 2) diverges at epoch 22."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(30, 3))
+    x[:, 2] = np.arange(30) % 2 + 0.01 * rng.normal(size=30)
+    return Dataset(x, np.arange(30) % 2, ("a", "b", "c"), ("x", "y"))
+
+
+def _divergent_config() -> ObjectiveConfig:
+    return ObjectiveConfig(mlp=MlpConfig(hidden_neurons=4, learning_rate=5.0, momentum=0.9,
+                                         epochs=50, seed=0), folds=3)
+
+
+class TestPrefetch:
+    SUBSETS = [(0, 1), (3,), (2, 0), (1, 2, 3), (0,), (3, 1, 2), (1, 3)]
+
+    def test_batch_equals_one_at_a_time(self, monkeypatch):
+        d = blob_dataset(n_per_class=10, n_features=4, n_classes=3, seed=1)
+        cfg = _mlp_config()
+        alone = [evaluate_subset(d, FeatureSubset(s), cfg) for s in self.SUBSETS]
+        batches = _counting(monkeypatch, wrapper, "mlp_train_many")
+        obj = SubsetObjective(d, cfg)
+        obj.prefetch([FeatureSubset(s) for s in self.SUBSETS])
+        # one lockstep call per feature count, three folds per member;
+        # (1, 2, 3) and (3, 1, 2) are one member
+        assert sorted(len(trains) for trains in batches) == [3, 6, 9]
+        assert [obj.evaluate(FeatureSubset(s)) for s in self.SUBSETS] == alone
+        # a byte cap of two two-feature members splits that group into 2 + 1
+        # (three one-feature members still fit under it)
+        batches.clear()
+        f, h, c = 2, 3, 3
+        monkeypatch.setattr(wrapper, "_BATCH_BYTES", 2 * 3 * 24 * ((f + 1) * h + (h + 1) * c))
+        obj = SubsetObjective(d, cfg)
+        obj.prefetch([FeatureSubset(s) for s in self.SUBSETS])
+        assert sorted(len(trains) for trains in batches) == [3, 3, 6, 6]
+        assert [obj.evaluate(FeatureSubset(s)) for s in self.SUBSETS] == alone
+
+    def test_pending_score_counts_only_when_asked(self, blobs, monkeypatch):
+        obj = SubsetObjective(blobs, _mlp_config())
+        asked, dropped = FeatureSubset((0, 1)), FeatureSubset((2, 3))
+        obj.prefetch([asked, dropped, FeatureSubset((1, 0))])
+        assert (obj.calls, obj.unique_evaluations, len(obj.pending)) == (0, 0, 2)
+        result = obj.evaluate(FeatureSubset((1, 0)))
+        assert result == evaluate_subset(blobs, asked, obj.config)
+        assert (obj.calls, obj.unique_evaluations) == (1, 1)
+        assert list(obj.pending) == [dropped.key]
+        # cached and pending subsets are not scored again
+        batches = _counting(monkeypatch, wrapper, "mlp_train_many")
+        obj.prefetch([asked, dropped])
+        assert batches == []
+        obj.reset_cache()
+        assert obj.pending == {} and obj.cache == {} and obj.calls == 0
+
+    def test_knn_and_leave_one_out_prefetch_nothing(self, tiny8, monkeypatch):
+        trained = _counting(monkeypatch, wrapper, "cross_validate")
+        voted = _counting(monkeypatch, wrapper, "_knn_vote")
+        subsets = [FeatureSubset((0, 1)), FeatureSubset((2, 5))]
+        for obj in (SubsetObjective(tiny8, _knn_config()), LeaveOneOutObjective(tiny8)):
+            obj.prefetch(subsets)
+            assert obj.pending == {}
+        assert trained == [] and voted == []
+
+    def test_diverging_member_never_asked_for_changes_nothing(self):
+        d, cfg = _divergent(), _divergent_config()
+        bad = FeatureSubset((0, 2))
+
+        class Injecting(SubsetObjective):
+            # every batch the search hands over also carries the diverging subset
+            def prefetch(self, subsets):
+                super().prefetch(list(subsets) + [bad])
+                assert self.pending == {}
+
+        hs = HsConfig(n_features=3, subset_size=1, hms=3, max_iterations=6, seed=2)
+        plain, injected = SubsetObjective(d, cfg), Injecting(d, cfg)
+        assert hs_run(hs, injected) == hs_run(hs, plain)
+        assert injected.cache == plain.cache
+        assert (injected.calls, injected.unique_evaluations) == (plain.calls,
+                                                                 plain.unique_evaluations)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError) as alone:
+                evaluate_subset(d, bad, cfg)
+            with pytest.raises(TrainingDivergedError) as asked:
+                injected.evaluate(bad)
+        assert str(asked.value) == str(alone.value) == "training loss became non-finite at epoch 22"
 
 
 class TestFoldPlan:
