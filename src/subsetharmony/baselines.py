@@ -17,7 +17,7 @@ from .classifiers import _sigmoid
 # benchmark tracing patches take_rows, standardize and stratified_kfold here, so they
 # stay imported
 from .dataset import Dataset, standardize, stratified_kfold, take_rows  # noqa: F401
-from .harmony import Harmony, RunHistory, RunLog, random_subset
+from .harmony import Harmony, RunHistory, RunLog, random_subset, speculate
 from .subsets import FeatureSubset, check_subset_size
 from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, cross_validate, fold_plan
 
@@ -179,9 +179,16 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     Velocities follow the classic update v <- w*v + c1*r1*(pbest-x) +
     c2*r2*(gbest-x), clamped to +/- VELOCITY_CLAMP; sigmoid(v) is the
     per-dimension inclusion probability. gbest is the run's best, updated
-    as soon as any particle improves on it. Only the initial swarm is handed
-    to the objective's prefetch (RunLog.prefetch): every later position
-    depends on the gbest of the particles scored before it.
+    as soon as any particle improves on it.
+
+    The initial swarm is handed to the objective's prefetch (RunLog.prefetch)
+    as one batch, and every sweep is speculative and exact (speculate). A
+    particle's move depends only on the rng state, its own velocity,
+    position and pbest, and gbest, which changes only with the run's best;
+    so the moves of the rest of the sweep are computed against the current
+    gbest and prefetched as one batch, then committed in order up to and
+    including the first that improves gbest. Objective calls, their order
+    and every result are those of moving and scoring one particle at a time.
     """
     rng = np.random.default_rng(cfg.seed)
     k, n = cfg.subset_size, cfg.n_features
@@ -195,38 +202,42 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     def subset(mask: np.ndarray) -> FeatureSubset:
         return FeatureSubset(tuple(int(i) for i in np.flatnonzero(mask)))
 
-    def score(mask: np.ndarray) -> float:
-        return log(subset(mask))
-
     pbest_pos = positions.copy()
     log.prefetch([subset(mask) for mask in positions])
-    pbest_fit = np.array([score(positions[p]) for p in range(cfg.particles)])
+    pbest_fit = np.array([log(subset(mask)) for mask in positions])
+    gbest = log.best
     gbest_pos = pbest_pos[int(np.argmax(pbest_fit))].copy()
+    iter_fits = np.empty(cfg.particles)
+
+    def propose(p: int) -> tuple[FeatureSubset, tuple[np.ndarray, np.ndarray]]:
+        r1 = rng.random(n)
+        r2 = rng.random(n)
+        x = positions[p].astype(float)
+        velocity = (
+            cfg.inertia * velocities[p]
+            + cfg.c1 * r1 * (pbest_pos[p].astype(float) - x)
+            + cfg.c2 * r2 * (gbest_pos.astype(float) - x)
+        )
+        np.clip(velocity, -VELOCITY_CLAMP, VELOCITY_CLAMP, out=velocity)
+        prob = _sigmoid(velocity)
+        mask = _repair_to_k(rng.random(n) < prob, prob, k)
+        return subset(mask), (velocity, mask)
+
+    def accept(p: int, move: tuple[np.ndarray, np.ndarray], fit: float) -> bool:
+        nonlocal gbest, gbest_pos
+        velocities[p], positions[p] = move
+        iter_fits[p] = fit
+        if fit > pbest_fit[p]:
+            pbest_fit[p] = fit
+            pbest_pos[p] = positions[p]
+        if log.best is gbest:
+            return False
+        gbest, gbest_pos = log.best, positions[p].copy()
+        return True
 
     for _ in range(cfg.iterations):
         start_best = log.best
-        iter_fits = np.empty(cfg.particles)
-        for p in range(cfg.particles):
-            r1 = rng.random(n)
-            r2 = rng.random(n)
-            x = positions[p].astype(float)
-            velocities[p] = (
-                cfg.inertia * velocities[p]
-                + cfg.c1 * r1 * (pbest_pos[p].astype(float) - x)
-                + cfg.c2 * r2 * (gbest_pos.astype(float) - x)
-            )
-            np.clip(velocities[p], -VELOCITY_CLAMP, VELOCITY_CLAMP, out=velocities[p])
-            prob = _sigmoid(velocities[p])
-            sampled = rng.random(n) < prob
-            positions[p] = _repair_to_k(sampled, prob, k)
-            gbest = log.best
-            fit = score(positions[p])
-            iter_fits[p] = fit
-            if fit > pbest_fit[p]:
-                pbest_fit[p] = fit
-                pbest_pos[p] = positions[p].copy()
-            if log.best is not gbest:
-                gbest_pos = positions[p].copy()
+        speculate(log, rng, cfg.particles, cfg.particles, propose, accept)
         log.end_iteration(float(iter_fits.min()), log.best is not start_best)
     return log.result()
 

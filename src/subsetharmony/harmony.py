@@ -13,8 +13,9 @@ entry only on strict fitness improvement.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .subsets import FeatureSubset, check_subset_size
 PITCH_TOPOLOGIES = ("index", "column")
 
 # candidates hs_run improvises ahead against an unchanged memory and hands to
-# the objective's prefetch as one batch
+# a batching objective's prefetch as one batch
 DEPTH = 4
 
 
@@ -151,11 +152,15 @@ class RunLog:
     end_iteration appends one history row: the best fitness so far, the
     iteration's worst fitness, and the optimizer's replaced/improved flag.
     prefetch hands a batch of subsets the run may score next to an objective
-    that has a prefetch (SubsetObjective); it counts nothing.
+    that has a prefetch (SubsetObjective); it counts nothing. `batches` is the
+    objective's own flag (SubsetObjective.batches), False for a plain
+    callable: whether a batch scores faster than its members one at a time,
+    and so whether speculate proposes ahead.
     """
 
     def __init__(self, objective) -> None:
         self._objective = objective
+        self.batches = bool(getattr(objective, "batches", False))
         self.calls = 0
         self.best: Harmony | None = None
         self._rows: list[tuple[float, float, bool]] = []
@@ -176,6 +181,44 @@ class RunLog:
     def result(self) -> tuple[Harmony, RunHistory]:
         best_fitness, worst_fitness, flags = zip(*self._rows)
         return self.best, RunHistory(best_fitness, worst_fitness, flags, self.best, self.calls)
+
+
+def speculate(log: RunLog, rng: np.random.Generator, steps: int, depth: int,
+              propose: Callable[[int], tuple[FeatureSubset, Any]],
+              accept: Callable[[int, Any, float], bool]) -> None:
+    """Take steps 0..steps-1 of a search, proposing up to depth of them ahead.
+
+    propose(i) draws step i's move from rng and the search state without
+    changing that state, and returns the subset to score and the move.
+    accept(i, move, fitness) applies the scored move and reports whether it
+    changed the state that later proposals read.
+
+    Each round proposes up to depth steps against the unchanged state,
+    saving the rng state before each, and hands their subsets to
+    log.prefetch as one batch. They are then scored and accepted in order up
+    to and including the first that changes the state; the rest are dropped,
+    and the rng goes back to the state saved before the first dropped one.
+    Objective calls, their order and every result are those of proposing,
+    scoring and accepting one step at a time. Unless log.batches, a batch
+    scores no faster than its members and a dropped proposal is wasted work,
+    so depth is then 1.
+    """
+    if not log.batches:
+        depth = 1
+    step = 0
+    while step < steps:
+        states, proposals = [], []
+        for i in range(step, min(step + depth, steps)):
+            states.append(rng.bit_generator.state)
+            proposals.append(propose(i))
+        log.prefetch([subset for subset, _ in proposals])
+        for j, (subset, move) in enumerate(proposals):
+            changed = accept(step, move, log(subset))
+            step += 1
+            if changed:
+                if j + 1 < len(proposals):
+                    rng.bit_generator.state = states[j + 1]
+                break
 
 
 def pitch_adjust(
@@ -308,32 +351,25 @@ def hs_run(cfg: HsConfig, objective) -> tuple[Harmony, RunHistory]:
     `objective` maps a FeatureSubset to an accuracy percent. Deterministic
     given cfg.seed; issues exactly hms + max_iterations objective calls.
 
-    The search is speculative and exact. A candidate depends only on the
-    rng state and the memory, and the memory changes only on replacement,
-    so each round improvises up to DEPTH candidates against the unchanged
-    memory, saving the rng state before each, and hands them to the
-    objective's prefetch as one batch. They are then scored and accepted
-    in order up to and including the first that replaces a memory entry;
-    the rest are dropped, and the rng goes back to the state saved before
-    the first dropped one. Objective calls, their order and every result
-    are those of improvising, scoring and replacing one candidate at a time.
+    The search is speculative and exact (speculate). A candidate depends
+    only on the rng state and the memory, and the memory changes only on
+    replacement, so up to DEPTH candidates are improvised against the
+    unchanged memory and handed to the objective's prefetch as one batch.
+    Objective calls, their order and every result are those of improvising,
+    scoring and replacing one candidate at a time.
     """
     rng = np.random.default_rng(cfg.seed)
     log = RunLog(objective)
     memory = initialize_memory(cfg, log, rng)
-    remaining = cfg.max_iterations
-    while remaining:
-        states, subsets = [], []
-        for _ in range(min(DEPTH, remaining)):
-            states.append(rng.bit_generator.state)
-            subsets.append(improvise(memory, cfg, rng))
-        log.prefetch(subsets)
-        for i, subset in enumerate(subsets):
-            replaced = replace_worst(memory, Harmony(subset, log(subset)))
-            log.end_iteration(memory.worst().fitness, replaced)
-            remaining -= 1
-            if replaced:
-                if i + 1 < len(subsets):
-                    rng.bit_generator.state = states[i + 1]
-                break
+
+    def propose(_: int) -> tuple[FeatureSubset, FeatureSubset]:
+        subset = improvise(memory, cfg, rng)
+        return subset, subset
+
+    def accept(_: int, subset: FeatureSubset, fitness: float) -> bool:
+        replaced = replace_worst(memory, Harmony(subset, fitness))
+        log.end_iteration(memory.worst().fitness, replaced)
+        return replaced
+
+    speculate(log, rng, cfg.max_iterations, DEPTH, propose, accept)
     return log.result()

@@ -226,7 +226,9 @@ class SubsetObjective:
     `unique_evaluations` counts the distinct subsets evaluate has returned.
     `prefetch` scores MLP misses ahead of time in one lockstep batch; they
     wait in `pending` and count only once evaluate asks for them, so every
-    count and result is the one scoring on demand gives. The first miss
+    count and result is the one scoring on demand gives. `batches` says
+    whether prefetch does anything, which is what the optimizers read
+    before they propose candidates ahead. The first miss
     builds the dataset's fold plan (fold_plan); reset_cache keeps it.
     """
 
@@ -259,12 +261,12 @@ class SubsetObjective:
 
         The results, the bits evaluate_subset gives, wait in `pending` until
         evaluate first asks for them; one never asked for never counts. Only
-        MLP training gains from a batch, so a kNN objective (leave-one-out
-        included) prefetches nothing. If the batch diverges nothing is
-        stored: each subset is scored when it is asked for, and only a
-        diverging one raises.
+        MLP training gains from a batch, so unless `batches` (a kNN
+        objective, leave-one-out included) it prefetches nothing. If the
+        batch diverges nothing is stored: each subset is scored when it is
+        asked for, and only a diverging one raises.
         """
-        if self.config.classifier != "mlp":
+        if not self.batches:
             return
         keys = [key for key in dict.fromkeys(s.key for s in subsets)
                 if key not in self.cache and key not in self.pending]
@@ -276,6 +278,11 @@ class SubsetObjective:
         except TrainingDivergedError:
             return
         self.pending.update(zip(keys, results))
+
+    @property
+    def batches(self) -> bool:
+        """Whether prefetch scores misses in one batch: only for the MLP."""
+        return self.config.classifier == "mlp"
 
     @property
     def unique_evaluations(self) -> int:

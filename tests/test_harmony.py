@@ -27,7 +27,9 @@ from subsetharmony import (
     random_subset,
     replace_worst,
 )
-from subsetharmony import harmony
+from subsetharmony import baselines, harmony
+from subsetharmony.baselines import VELOCITY_CLAMP, _repair_to_k
+from subsetharmony.classifiers import _sigmoid
 from subsetharmony.harmony import RunLog
 from subsetharmony.synth import planted_dataset
 
@@ -411,14 +413,18 @@ class _Spy:
     def __init__(self, objective: SubsetObjective) -> None:
         self.objective = objective
         self.asked: list[tuple[int, ...]] = []
-        self.prefetched = 0
+        self.batch_sizes: list[int] = []
 
     def __call__(self, subset: FeatureSubset) -> float:
         self.asked.append(subset.indices)
         return self.objective(subset)
 
+    @property
+    def batches(self) -> bool:
+        return self.objective.batches
+
     def prefetch(self, subsets) -> None:
-        self.prefetched += len(subsets)
+        self.batch_sizes.append(len(subsets))
         self.objective.prefetch(subsets)
 
 
@@ -446,7 +452,99 @@ class TestSpeculativeHs:
         assert (speculative.objective.calls, speculative.objective.unique_evaluations) == (
             reference.objective.calls, reference.objective.unique_evaluations)
         assert speculative.objective.cache == reference.objective.cache
-        assert speculative.prefetched >= hms + min(depth, iterations)
+        assert speculative.batch_sizes[:2] == [hms, min(depth, iterations)]
+
+
+def _sequential_pso_run(cfg: PsoConfig, objective):
+    """Reference: one particle moved, scored and committed at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    k, n = cfg.subset_size, cfg.n_features
+    log = RunLog(objective)
+    positions = np.zeros((cfg.particles, n), dtype=bool)
+    for p in range(cfg.particles):
+        positions[p, rng.choice(n, size=k, replace=False)] = True
+    velocities = np.zeros((cfg.particles, n))
+
+    def score(mask):
+        return log(FeatureSubset(tuple(int(i) for i in np.flatnonzero(mask))))
+
+    pbest_pos = positions.copy()
+    pbest_fit = np.array([score(mask) for mask in positions])
+    gbest_pos = pbest_pos[int(np.argmax(pbest_fit))].copy()
+    for _ in range(cfg.iterations):
+        start_best = log.best
+        iter_fits = np.empty(cfg.particles)
+        for p in range(cfg.particles):
+            r1 = rng.random(n)
+            r2 = rng.random(n)
+            x = positions[p].astype(float)
+            velocities[p] = (cfg.inertia * velocities[p]
+                             + cfg.c1 * r1 * (pbest_pos[p].astype(float) - x)
+                             + cfg.c2 * r2 * (gbest_pos.astype(float) - x))
+            np.clip(velocities[p], -VELOCITY_CLAMP, VELOCITY_CLAMP, out=velocities[p])
+            prob = _sigmoid(velocities[p])
+            positions[p] = _repair_to_k(rng.random(n) < prob, prob, k)
+            gbest = log.best
+            iter_fits[p] = fit = score(positions[p])
+            if fit > pbest_fit[p]:
+                pbest_fit[p] = fit
+                pbest_pos[p] = positions[p]
+            if log.best is not gbest:
+                gbest_pos = positions[p].copy()
+        log.end_iteration(float(iter_fits.min()), log.best is not start_best)
+    return log.result()
+
+
+class TestSpeculativePso:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), particles=st.integers(2, 6),
+           iterations=st.integers(1, 8), subset_size=st.integers(1, 3))
+    def test_equals_sequential_reference(self, seed, particles, iterations, subset_size):
+        cfg = PsoConfig(n_features=6, subset_size=subset_size, particles=particles,
+                        iterations=iterations, seed=seed)
+        obj_cfg = ObjectiveConfig(mlp=MlpConfig(epochs=1, seed=seed), folds=2)
+        reference = _Spy(SubsetObjective(_SPECULATION_DATA, obj_cfg))
+        speculative = _Spy(SubsetObjective(_SPECULATION_DATA, obj_cfg))
+        expected = _sequential_pso_run(cfg, reference)
+        got = pso_run(cfg, speculative)
+        assert got == expected
+        assert speculative.asked == reference.asked
+        assert (speculative.objective.calls, speculative.objective.unique_evaluations) == (
+            reference.objective.calls, reference.objective.unique_evaluations)
+        assert speculative.objective.cache == reference.objective.cache
+        # the initial swarm, then the whole first sweep, each go out as one batch
+        assert speculative.batch_sizes[:2] == [particles, particles]
+
+
+class TestDepthOne:
+    """An objective that does not batch gets no proposal it will not score."""
+
+    def test_hs_improvises_once_per_iteration(self, tiny8, monkeypatch):
+        improvised = []
+        real = harmony.improvise
+
+        def counting(*args):
+            improvised.append(real(*args))
+            return improvised[-1]
+
+        monkeypatch.setattr(harmony, "improvise", counting)
+        cfg = HsConfig(n_features=8, subset_size=3, hms=5, max_iterations=60, seed=3)
+        _, history = hs_run(cfg, LeaveOneOutObjective(tiny8))
+        assert any(history.replaced)
+        assert len(improvised) == cfg.max_iterations
+
+    def test_pso_moves_each_particle_once_per_sweep(self, tiny8, monkeypatch):
+        moves = []
+
+        def counting(*args):
+            moves.append(_repair_to_k(*args))
+            return moves[-1]
+
+        monkeypatch.setattr(baselines, "_repair_to_k", counting)
+        cfg = PsoConfig(n_features=8, subset_size=3, particles=7, iterations=12, seed=3)
+        _, history = pso_run(cfg, LeaveOneOutObjective(tiny8))
+        assert any(history.replaced)
+        assert len(moves) == cfg.particles * cfg.iterations
 
 
 class TestRandomSubset:

@@ -15,6 +15,7 @@ from subsetharmony import (
     LeaveOneOutObjective,
     MlpConfig,
     ObjectiveConfig,
+    PsoConfig,
     SubsetObjective,
     TrainingDivergedError,
     accuracy,
@@ -22,6 +23,7 @@ from subsetharmony import (
     evaluate_subset,
     hs_run,
     loo_knn_accuracy,
+    pso_run,
     wrapper,
 )
 from subsetharmony.classifiers import knn_predict
@@ -270,18 +272,30 @@ class TestPrefetch:
         assert trained == [] and voted == []
 
     def test_diverging_member_never_asked_for_changes_nothing(self):
+        hs = HsConfig(n_features=3, subset_size=1, hms=3, max_iterations=6, seed=2)
+        self._check_injected_divergence(hs_run, hs)
+
+    def test_diverging_member_in_every_swarm_batch_changes_nothing(self):
+        pso = PsoConfig(n_features=3, subset_size=1, particles=3, iterations=4, seed=2)
+        self._check_injected_divergence(pso_run, pso)
+
+    @staticmethod
+    def _check_injected_divergence(run, search):
         d, cfg = _divergent(), _divergent_config()
         bad = FeatureSubset((0, 2))
 
         class Injecting(SubsetObjective):
             # every batch the search hands over also carries the diverging subset
+            batched = 0
+
             def prefetch(self, subsets):
+                self.batched += 1
                 super().prefetch(list(subsets) + [bad])
                 assert self.pending == {}
 
-        hs = HsConfig(n_features=3, subset_size=1, hms=3, max_iterations=6, seed=2)
         plain, injected = SubsetObjective(d, cfg), Injecting(d, cfg)
-        assert hs_run(hs, injected) == hs_run(hs, plain)
+        assert run(search, injected) == run(search, plain)
+        assert injected.batched > 1
         assert injected.cache == plain.cache
         assert (injected.calls, injected.unique_evaluations) == (plain.calls,
                                                                  plain.unique_evaluations)
