@@ -118,15 +118,32 @@ class MlpGradients:
     b_out: np.ndarray
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+# 0-d operands for the step's ufunc calls: numpy takes them faster than Python
+# floats, which it converts on every call (0.9 against 1.3 us per call on
+# (12, 1, 3) arrays, 2-vCPU Xeon VM)
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+_ZERO.flags.writeable = _ONE.flags.writeable = False
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """Logistic sigmoid of z, written into out if given; work is scratch shaped like z."""
     # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never overflows
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+    num = np.exp(np.minimum(z, _ZERO, out=work), work)
+    den = np.exp(np.negative(np.abs(z, out), out), out)
+    np.add(den, _ONE, den)
+    return np.divide(num, den, den)
 
 
-def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along the last axis, written into out if given; overwrites logits.
+
+    work is scratch with the last axis of logits reduced to length 1.
+    """
+    np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True, out=work), logits)
+    np.exp(logits, logits)
+    return np.divide(logits, np.add.reduce(logits, axis=-1, keepdims=True, out=work), out)
 
 
 def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,62 +152,81 @@ def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden, probs
 
 
-def _flatten(model: MlpModel) -> np.ndarray:
-    """One network's parameters as one vector, in _layers order."""
-    return np.concatenate([model.w_hidden.ravel(), model.b_hidden,
-                           model.w_out.ravel(), model.b_out])
+def _stack(models: Sequence[MlpModel]) -> np.ndarray:
+    """The models' parameters as one layer-major vector: [w1 of all | b1 of all | w2 | b2]."""
+    return np.concatenate([np.ravel(layer) for layer in
+                           zip(*((m.w_hidden, m.b_hidden, m.w_out, m.b_out) for m in models))])
 
 
-def _layers(flat: np.ndarray, dims: tuple[int, int, int]) -> list[np.ndarray]:
-    """Views of stacked (B, P) parameter rows as w1 (B, f, h), b1 (B, 1, h),
-    w2 (B, h, c) and b2 (B, 1, c), for dims = (f, h, c)."""
+def _layers(flat: np.ndarray, n: int, k: int,
+            dims: tuple[int, int, int]) -> list[np.ndarray]:
+    """Views of the first k of n networks stacked layer-major in flat (_stack's order).
+
+    Each is one contiguous block: w1 (k, f, h), b1 (k, 1, h), w2 (k, h, c) and
+    b2 (k, 1, c), for dims = (f, h, c).
+    """
     f, h, c = dims
     views, start = [], 0
     for rows, cols in ((f, h), (1, h), (h, c), (1, c)):
-        views.append(flat[:, start:start + rows * cols].reshape(-1, rows, cols))
-        start += rows * cols
+        views.append(flat[start:start + k * rows * cols].reshape(k, rows, cols))
+        start += n * rows * cols
     return views
 
 
-def _backprop(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
-              x: np.ndarray, target: np.ndarray, grads: list[np.ndarray],
-              probs: np.ndarray) -> None:
-    """Forward pass and cross-entropy gradients of B stacked networks, one sample each.
+class _Head:
+    """The first k of n networks in lockstep, and the buffers of their step.
 
-    The weights are _layers views; samples are row vectors (B, 1, f) with
-    one-hot targets (B, 1, c). Writes the softmax output into probs and the
-    gradients into grads (_layers views shaped like the weights): the step
-    training applies and, at B=1, what mlp_gradient reports.
+    Holds contiguous layer views of the weights w and gradients g, the
+    triples the momentum update runs over (the whole flat w, v and g when
+    k = n, else each layer's prefix), and the hidden, logit and backprop
+    intermediates of one step, allocated once.
     """
-    hidden = _sigmoid(x @ w1 + b1)
-    _softmax(hidden @ w2 + b2, out=probs)
-    d_w1, d_b1, d_w2, d_b2 = grads
-    np.subtract(probs, target, out=d_b2)
-    np.multiply((w2 @ d_b2.swapaxes(1, 2)).swapaxes(1, 2) * hidden, 1.0 - hidden, out=d_b1)
-    np.multiply(x.swapaxes(1, 2), d_b1, out=d_w1)
-    np.multiply(hidden.swapaxes(1, 2), d_b2, out=d_w2)
+
+    def __init__(self, w: np.ndarray, v: np.ndarray, g: np.ndarray, n: int, k: int,
+                 dims: tuple[int, int, int]) -> None:
+        _, h, c = dims
+        self.w = _layers(w, n, k, dims)
+        self.g = _layers(g, n, k, dims)
+        self.updates = ([(w, v, g)] if k == n
+                        else list(zip(self.w, _layers(v, n, k, dims), self.g)))
+        self.d_out_t = self.g[3].swapaxes(1, 2)
+        self.hidden = np.empty((k, 1, h))
+        self.hidden_t = self.hidden.swapaxes(1, 2)
+        self.work = np.empty((k, 1, h))
+        self.logits = np.empty((k, 1, c))
+        self.row = np.empty((k, 1, 1))
+        self.back = np.empty((k, h, 1))
+        self.back_t = self.back.swapaxes(1, 2)
 
 
-def _head(w: np.ndarray, v: np.ndarray, g: np.ndarray, k: int,
-          dims: tuple[int, int, int]) -> tuple:
-    """The first k networks of stacked weights w, momentum v and gradients g, as views."""
-    w, v, g = w[:k], v[:k], g[:k]
-    return w, v, g, _layers(w, dims), _layers(g, dims)
+def _sgd_step(head: _Head, x: np.ndarray, x_t: np.ndarray, target: np.ndarray,
+              probs: np.ndarray, lr: np.ndarray, momentum: np.ndarray) -> None:
+    """One online step of the head's networks, one sample each: the only step kernel.
 
-
-def _sgd_step(head: tuple, x: np.ndarray, target: np.ndarray, probs: np.ndarray,
-              lr: float, momentum: float) -> None:
-    """One online step of the networks in head: v <- momentum*v - lr*grad, w <- w + v.
-
-    The gradients are scaled by lr in place, which gives the bits of lr * g
-    without a (B, P) temporary; _backprop overwrites them on the next step.
+    Samples are row vectors x (k, 1, f), with x_t their (k, f, 1) transpose,
+    and targets are one-hot (k, 1, c). Writes the softmax output into probs
+    and lr times the cross-entropy gradients into head.g, then steps
+    v <- momentum*v - lr*grad, w <- w + v. Scaling g in place gives the
+    bits of lr * g without a temporary; at lr = 1 and k = 1, head.g is what
+    mlp_gradient reports.
     """
-    w, v, g, w_layers, g_layers = head
-    _backprop(*w_layers, x, target, g_layers, probs)
-    np.multiply(v, momentum, out=v)
-    np.multiply(g, lr, out=g)
-    v -= g
-    w += v
+    w1, b1, w2, b2 = head.w
+    d_w1, d_b1, d_w2, d_b2 = head.g
+    hidden, work = head.hidden, head.work
+    _sigmoid(np.add(np.matmul(x, w1, hidden), b1, hidden), hidden, work)
+    logits = np.add(np.matmul(hidden, w2, head.logits), b2, head.logits)
+    _softmax(logits, probs, head.row)
+    np.subtract(probs, target, d_b2)
+    np.matmul(w2, head.d_out_t, head.back)
+    np.multiply(head.back_t, hidden, work)
+    np.multiply(work, np.subtract(_ONE, hidden, d_b1), d_b1)
+    np.multiply(x_t, d_b1, d_w1)
+    np.multiply(head.hidden_t, d_b2, d_w2)
+    for w, v, g in head.updates:
+        np.multiply(v, momentum, v)
+        np.multiply(g, lr, g)
+        np.subtract(v, g, v)
+        np.add(w, v, w)
 
 
 def default_hidden_neurons(n_features: int, n_classes: int) -> int:
@@ -202,14 +238,18 @@ def mlp_train_many(trains: Sequence[Dataset], cfg: MlpConfig) -> list[MlpModel]:
 
     Each network is bit for bit the one mlp_train gives on its dataset alone:
     it draws its initial weights and then one shuffle per epoch from its own
-    default_rng(cfg.seed) stream, and takes one online step per row. The
-    networks are stacked as (B, ...) arrays so that each numpy call steps all
-    of them. A network with fewer rows sits out the last steps of each epoch,
-    its weights and momentum untouched.
+    default_rng(cfg.seed) stream, and takes one online step per row. Weights,
+    momentum and gradients are each one flat layer-major array
+    ([w1 of all networks | b1 of all | w2 | b2]), so every layer is one
+    contiguous (B, rows, cols) block and each numpy call steps all networks.
+    A network with fewer rows sits out the last steps of each epoch, its
+    weights and momentum untouched.
 
-    Raises TrainingDivergedError naming the earliest epoch at which any
-    network's epoch loss stops being finite.
+    Raises ValueError on an empty list, and TrainingDivergedError naming the
+    earliest epoch at which any network's epoch loss stops being finite.
     """
+    if not trains:
+        raise ValueError("mlp_train_many needs at least one dataset to train on")
     n_features, n_classes = trains[0].n_features, trains[0].n_classes
     if n_classes < 2:
         raise ValueError(f"need >= 2 classes to train, got {n_classes}")
@@ -217,38 +257,44 @@ def mlp_train_many(trains: Sequence[Dataset], cfg: MlpConfig) -> list[MlpModel]:
         raise ValueError("networks trained in lockstep need equal feature and class counts")
     dims = (n_features, cfg.hidden_neurons or default_hidden_neurons(n_features, n_classes),
             n_classes)
+    n = len(trains)
     # longest first, so the networks still stepping at any step are a prefix
-    order = sorted(range(len(trains)), key=lambda b: -trains[b].n_samples)
+    order = sorted(range(n), key=lambda b: -trains[b].n_samples)
     sizes = [trains[b].n_samples for b in order]
     # one generator per network: weight init first, epoch shuffles continue the stream
     rngs = [np.random.default_rng(cfg.seed) for _ in order]
-    w = np.stack([_flatten(MlpModel._draw(rng, *dims)) for rng in rngs])
+    w = _stack([MlpModel._draw(rng, *dims) for rng in rngs])
     v, g = np.zeros_like(w), np.zeros_like(w)
-    live = [sum(n > t for n in sizes) for t in range(sizes[0])]
-    heads = {k: _head(w, v, g, k, dims) for k in set(live)}
+    # the first live[t] networks take step t of an epoch
+    live = [sum(size > t for size in sizes) for t in range(sizes[0])]
+    heads = {k: _Head(w, v, g, n, k, dims) for k in set(live)}
 
-    # one epoch's shuffled rows, labels and softmax outputs, indexed (step, network, ...)
-    x = np.zeros((sizes[0], len(order), 1, n_features))
-    labels = np.zeros((sizes[0], len(order)), dtype=np.int64)
-    probs = np.ones((sizes[0], len(order), 1, n_classes))
+    # one epoch's shuffled rows, labels, one-hot targets and softmax outputs,
+    # indexed (step, network, ...), and each step's views of them, made once
+    x = np.zeros((sizes[0], n, 1, n_features))
+    labels = np.zeros((sizes[0], n), dtype=np.int64)
     one_hot = np.eye(n_classes)
+    target = np.empty((sizes[0], n, 1, n_classes))
+    probs = np.ones((sizes[0], n, 1, n_classes))
+    steps = [(heads[k], x[t, :k], x[t, :k].swapaxes(1, 2), target[t, :k], probs[t, :k])
+             for t, k in enumerate(live)]
+    lr, momentum = np.array(cfg.learning_rate), np.array(cfg.momentum)
     for epoch in range(cfg.epochs):
         for slot, (b, rng) in enumerate(zip(order, rngs)):
             perm = rng.permutation(sizes[slot])
             x[:sizes[slot], slot, 0] = trains[b].features[perm]
             labels[:sizes[slot], slot] = trains[b].labels[perm]
-        target = one_hot[labels][:, :, None]
-        for t, k in enumerate(live):
-            _sgd_step(heads[k], x[t, :k], target[t, :k], probs[t, :k],
-                      cfg.learning_rate, cfg.momentum)
+        np.take(one_hot, labels, axis=0, out=target[:, :, 0])
+        for step in steps:
+            _sgd_step(*step, lr, momentum)
         # a sum of -log p(label) is finite iff every p(label) > 0; skipped
         # steps keep p = 1
         if not ((probs * target).sum(axis=-1) > 0).all():
             raise TrainingDivergedError(
                 f"training loss became non-finite at epoch {epoch}"
             )
-    w1, b1, w2, b2 = _layers(w, dims)
-    models = [None] * len(order)
+    w1, b1, w2, b2 = _layers(w, n, n, dims)
+    models = [None] * n
     for slot, b in enumerate(order):
         models[b] = MlpModel(w1[slot], b1[slot, 0], w2[slot], b2[slot, 0])
     return models
@@ -279,15 +325,16 @@ def mlp_gradient(model: MlpModel, sample: np.ndarray, label: int) -> MlpGradient
     """Analytic cross-entropy gradient for one sample.
 
     Exposed so the backprop step mlp_train applies can be checked against
-    central finite differences: it is that step at B=1.
+    central finite differences: it runs that step kernel on a copy of the
+    weights at B = 1, learning rate 1 and momentum 0, and reads its gradients.
     """
     dims = (model.n_features, model.hidden_neurons, model.n_classes)
-    w = _flatten(model)[None]
-    g = np.empty_like(w)
+    w = _stack([model])
+    head = _Head(w, np.zeros_like(w), np.empty_like(w), 1, 1, dims)
     x = np.asarray(sample, dtype=np.float64).reshape(1, 1, -1)
     target = np.eye(model.n_classes)[[[label]]]
-    _backprop(*_layers(w, dims), x, target, _layers(g, dims), np.empty_like(target))
-    d_w1, d_b1, d_w2, d_b2 = _layers(g, dims)
+    _sgd_step(head, x, x.swapaxes(1, 2), target, np.empty_like(target), _ONE, _ZERO)
+    d_w1, d_b1, d_w2, d_b2 = head.g
     return MlpGradients(w_hidden=d_w1[0], b_hidden=d_b1[0, 0], w_out=d_w2[0], b_out=d_b2[0, 0])
 
 
@@ -301,6 +348,19 @@ def mlp_loss(model: MlpModel, sample: np.ndarray, label: int) -> float:
 # this many float64 values (256 KiB, which stays in L2), whatever the number
 # of queries
 _BLOCK_VALUES = 1 << 15
+
+# the vote's distance sum, plane and partition copy, reused by every call and
+# grown on demand to the largest block seen (_BLOCK_VALUES values, or one
+# query row when the training set is larger)
+_VOTE_BUFFERS: dict[str, np.ndarray] = {}
+
+
+def _vote_buffer(role: str, q: int, t: int) -> np.ndarray:
+    """A (q, t) view of the vote's reused buffer for role; its contents are stale."""
+    buf = _VOTE_BUFFERS.get(role)
+    if buf is None or buf.size < q * t:
+        buf = _VOTE_BUFFERS[role] = np.empty(q * t)
+    return buf[:q * t].reshape(q, t)
 
 
 def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
@@ -316,6 +376,10 @@ def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
     to the lowest class id. k beyond the rows available takes them all.
     skip_self=True is leave-one-out: queries are the training rows themselves,
     and query i never counts training row i among its neighbours.
+
+    The blocks' (q, t) arrays live in module-level buffers reused across
+    calls, so their pages are not faulted in afresh; this makes the vote
+    non-reentrant, which the package, running one thread, never needs.
     """
     n_queries = queries.shape[0]
     n_train = train_x.shape[0]
@@ -326,19 +390,22 @@ def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
         return out
     # one contiguous row per feature, so each plane reads two contiguous columns
     train_cols = np.ascontiguousarray(train_x.T)
-    plane = np.empty((min(rows, n_queries), n_train))
     for start in range(0, n_queries, rows):
         block = np.ascontiguousarray(queries[start:start + rows].T)
         q = block.shape[1]
-        sq_dist = np.subtract.outer(block[0], train_cols[0])
+        sq_dist, plane, part = (_vote_buffer(role, q, n_train)
+                                for role in ("sum", "plane", "partition"))
+        np.subtract(block[0][:, None], train_cols[0], out=sq_dist)
         np.square(sq_dist, out=sq_dist)
         for query_col, train_col in zip(block[1:], train_cols[1:]):
-            diff = np.subtract.outer(query_col, train_col, out=plane[:q])
+            diff = np.subtract(query_col[:, None], train_col, out=plane)
             sq_dist += np.square(diff, out=diff)
         if skip_self:
             # nan fails both comparisons below, so no query picks its own row
             sq_dist[np.arange(q), np.arange(start, start + q)] = np.nan
-        kth = np.partition(sq_dist, k - 1, axis=1)[:, k - 1:k]
+        np.copyto(part, sq_dist)
+        part.partition(k - 1, axis=1)
+        kth = part[:, k - 1:k]
         chosen = sq_dist <= kth
         # rows whose k-th distance is shared past k keep the lowest-index ties
         over = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k)

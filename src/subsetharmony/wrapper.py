@@ -133,9 +133,9 @@ def fold_plan(d: Dataset, cfg: ObjectiveConfig) -> FoldPairs:
 
 Transform = Callable[[Dataset, Dataset], tuple[Dataset, Dataset]]
 
-# a lockstep batch holds as many whole members as keep its (B, P) weight,
-# momentum and gradient arrays under about this many bytes (1 MiB, which stays
-# in L2); one member alone is never split
+# a lockstep batch holds as many whole members as keep its weight, momentum
+# and gradient arrays (B * P values each, P per network) under about this many
+# bytes (1 MiB, which stays in L2); one member alone is never split
 _BATCH_BYTES = 1 << 20
 
 

@@ -16,9 +16,7 @@ from subsetharmony.classifiers import (
     _BLOCK_VALUES,
     MlpModel,
     _forward,
-    _head,
     _knn_vote,
-    _sgd_step,
     _sigmoid,
     default_hidden_neurons,
     knn_predict,
@@ -115,16 +113,23 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError, match="epoch"):
             mlp_train(d, cfg)
 
-    def test_one_step_applies_mlp_gradient(self):
-        # one row, momentum 0: the single SGD step is exactly w - lr * gradient
-        d = Dataset(np.array([[0.3, -1.2, 2.0]]), np.array([1]), ("a", "b", "c"),
-                    ("x", "y"))
-        cfg = MlpConfig(hidden_neurons=4, learning_rate=0.3, momentum=0.0, epochs=1, seed=9)
-        trained = mlp_train(d, cfg)
-        init = MlpModel.initialize(3, 4, 2, seed=9)
-        g = mlp_gradient(init, d.features[0], 1)
+    @settings(max_examples=200, deadline=None)
+    @given(f=st.integers(1, 6), hidden=st.integers(1, 6), c=st.integers(2, 5),
+           lr=st.one_of(st.just(1.0), st.floats(0.0, 2.0)), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_one_step_applies_mlp_gradient(self, f, hidden, c, lr, seed, data):
+        # one row, momentum 0: the single SGD step is exactly w - lr * gradient,
+        # so training's step and mlp_gradient are one kernel
+        x = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=f, max_size=f)))
+        label = data.draw(st.integers(0, c - 1))
+        d = Dataset(x[None], np.array([label]), tuple(f"f{j}" for j in range(f)),
+                    tuple(f"c{j}" for j in range(c)))
+        trained = mlp_train(d, MlpConfig(hidden_neurons=hidden, learning_rate=lr,
+                                         momentum=0.0, epochs=1, seed=seed))
+        init = MlpModel.initialize(f, hidden, c, seed=seed)
+        g = mlp_gradient(init, x, label)
         for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
-            want = getattr(init, name) - cfg.learning_rate * getattr(g, name)
+            want = getattr(init, name) - lr * getattr(g, name)
             assert np.array_equal(getattr(trained, name), want), name
 
     def test_single_class_rejected(self):
@@ -461,22 +466,22 @@ class TestLockstep:
             for model, t in zip(together, batch):
                 _assert_same_bits(model, alone[trains.index(t)])
 
-    def test_skipped_step_leaves_member_untouched(self):
-        # the longest member steps alone: the others keep weights and momentum
-        dims = (3, 2, 2)
-        rng = np.random.default_rng(0)
-        w, v = rng.normal(size=(3, 14)), rng.normal(size=(3, 14))
-        g = np.zeros_like(w)
-        before_w, before_v = w.copy(), v.copy()
-        x = rng.normal(size=(3, 1, 3))
-        target = np.eye(2)[[[1], [0], [1]]]
-        probs = np.ones((3, 1, 2))
-        _sgd_step(_head(w, v, g, 1, dims), x[:1], target[:1], probs[:1], 0.3, 0.4)
-        assert not np.array_equal(w[0], before_w[0])
-        assert not np.array_equal(v[0], before_v[0])
-        assert np.array_equal(w[1:], before_w[1:])
-        assert np.array_equal(v[1:], before_v[1:])
-        assert (probs[1:] == 1.0).all()
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+           f=st.integers(1, 4), c=st.integers(2, 4), hidden=st.integers(1, 5),
+           epochs=st.integers(1, 3), lr=st.floats(0.0, 1.0), momentum=st.floats(0.0, 0.95),
+           seed=st.integers(0, 2**16))
+    def test_ragged_batch_equals_sequential_members(self, rows, f, c, hidden, epochs, lr,
+                                                    momentum, seed):
+        # members of different row counts sit out the tail steps of each epoch
+        rng = np.random.default_rng(seed)
+        trains = [Dataset(rng.normal(size=(n, f)), rng.integers(0, c, size=n),
+                          tuple(f"f{j}" for j in range(f)), tuple(f"c{j}" for j in range(c)))
+                  for n in rows]
+        cfg = MlpConfig(hidden_neurons=hidden, learning_rate=lr, momentum=momentum,
+                        epochs=epochs, seed=seed)
+        for model, train in zip(mlp_train_many(trains, cfg), trains):
+            _assert_same_bits(model, _sequential_train(train, cfg))
 
     def test_cross_validate_equals_sequential_folds(self):
         # 31 rows per class over 3 folds: train sizes 60, 63 and 63
@@ -511,6 +516,10 @@ class TestLockstep:
             assert epochs[0] > min(epochs)
             with pytest.raises(TrainingDivergedError, match=f"at epoch {min(epochs)}$"):
                 cross_validate(d, cfg)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one dataset"):
+            mlp_train_many([], MlpConfig(epochs=1))
 
     def test_mixed_shapes_rejected(self):
         d = _xor()
