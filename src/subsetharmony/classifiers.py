@@ -94,12 +94,8 @@ class MlpModel:
     @classmethod
     def initialize(cls, n_features: int, hidden_neurons: int, n_classes: int,
                    seed: int) -> "MlpModel":
-        """Seeded uniform [-0.5, 0.5] weight initialization."""
-        return cls._draw(np.random.default_rng(seed), n_features, hidden_neurons, n_classes)
-
-    @classmethod
-    def _draw(cls, rng: np.random.Generator, n_features: int, hidden_neurons: int,
-              n_classes: int) -> "MlpModel":
+        """Seeded uniform [-0.5, 0.5] weight initialization, drawn w1, b1, w2, b2."""
+        rng = np.random.default_rng(seed)
         return cls(
             w_hidden=rng.uniform(-0.5, 0.5, size=(n_features, hidden_neurons)),
             b_hidden=rng.uniform(-0.5, 0.5, size=hidden_neurons),
@@ -152,17 +148,12 @@ def _forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden, probs
 
 
-def _stack(models: Sequence[MlpModel]) -> np.ndarray:
-    """The models' parameters as one layer-major vector: [w1 of all | b1 of all | w2 | b2]."""
-    return np.concatenate([np.ravel(layer) for layer in
-                           zip(*((m.w_hidden, m.b_hidden, m.w_out, m.b_out) for m in models))])
-
-
 def _layers(flat: np.ndarray, n: int, k: int,
             dims: tuple[int, int, int]) -> list[np.ndarray]:
-    """Views of the first k of n networks stacked layer-major in flat (_stack's order).
+    """Views of the first k of n networks stacked layer-major in flat.
 
-    Each is one contiguous block: w1 (k, f, h), b1 (k, 1, h), w2 (k, h, c) and
+    flat holds [w1 of all n | b1 of all n | w2 | b2]. Each view is one
+    contiguous block: w1 (k, f, h), b1 (k, 1, h), w2 (k, h, c) and
     b2 (k, 1, c), for dims = (f, h, c).
     """
     f, h, c = dims
@@ -263,7 +254,13 @@ def mlp_train_many(trains: Sequence[Dataset], cfg: MlpConfig) -> list[MlpModel]:
     sizes = [trains[b].n_samples for b in order]
     # one generator per network: weight init first, epoch shuffles continue the stream
     rngs = [np.random.default_rng(cfg.seed) for _ in order]
-    w = _stack([MlpModel._draw(rng, *dims) for rng in rngs])
+    f, h, c = dims
+    w = np.empty(n * (f * h + h + h * c + c))
+    init = _layers(w, n, n, dims)
+    for slot, rng in enumerate(rngs):
+        # MlpModel.initialize's draws: w1, b1, w2, b2
+        for layer in init:
+            layer[slot] = rng.uniform(-0.5, 0.5, size=layer.shape[1:])
     v, g = np.zeros_like(w), np.zeros_like(w)
     # the first live[t] networks take step t of an epoch
     live = [sum(size > t for size in sizes) for t in range(sizes[0])]
@@ -329,7 +326,8 @@ def mlp_gradient(model: MlpModel, sample: np.ndarray, label: int) -> MlpGradient
     weights at B = 1, learning rate 1 and momentum 0, and reads its gradients.
     """
     dims = (model.n_features, model.hidden_neurons, model.n_classes)
-    w = _stack([model])
+    w = np.concatenate([np.ravel(a) for a in
+                        (model.w_hidden, model.b_hidden, model.w_out, model.b_out)])
     head = _Head(w, np.zeros_like(w), np.empty_like(w), 1, 1, dims)
     x = np.asarray(sample, dtype=np.float64).reshape(1, 1, -1)
     target = np.eye(model.n_classes)[[[label]]]

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or validation error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -20,7 +21,7 @@ from .dataset import Dataset, DatasetError, load_csv
 from .harmony import PITCH_TOPOLOGIES, HsConfig
 from .harness import (
     DEFAULT_FRACTIONS,
-    OptimizerConfig,
+    OPTIMIZERS,
     compare_optimizers,
     emit_report,
     run_optimizer,
@@ -32,11 +33,48 @@ from .subsets import FeatureSubset
 from .wrapper import ObjectiveConfig, SubsetObjective, confidence_interval
 
 ENV_SEED = "SUBSETHARMONY_SEED"
-_BOOLEAN_KEYS = frozenset({"standardize", "fold-average"})
 _TRUE_WORDS = frozenset({"true", "1", "yes", "on"})
 _FALSE_WORDS = frozenset({"false", "0", "no", "off"})
-# the flag by which a subcommand accepts each optimizer's settings
-_OPTIMIZER_FLAGS = {"hs": "hms", "ga": "population", "pso": "particles", "pca": "components"}
+
+# The one definition of each flag that sets a config field, in --help order:
+# (flag, config class, field, help, the argparse keywords the field's default
+# does not imply). The class default is the flag's default, and its type the
+# flag's type. _add_flags puts a subcommand's rows on its parser, and _config
+# builds a config from its rows.
+_FLAGS = (
+    ("classifier", ObjectiveConfig, "classifier", "wrapped classifier",
+     {"choices": ("mlp", "knn")}),
+    ("folds", ObjectiveConfig, "folds", "stratified CV folds", {}),
+    ("standardize", ObjectiveConfig, "standardize", "z-score features per fold (train stats)",
+     {"action": argparse.BooleanOptionalAction}),
+    ("fold-average", ObjectiveConfig, "fold_average",
+     "report mean of fold accuracies instead of pooled",
+     {"action": argparse.BooleanOptionalAction}),
+    ("hidden", MlpConfig, "hidden_neurons",
+     "MLP hidden neurons (default: ceil((features+classes)/2))", {"type": int}),
+    ("learning-rate", MlpConfig, "learning_rate", "MLP learning rate", {}),
+    ("momentum", MlpConfig, "momentum", "MLP momentum", {}),
+    ("epochs", MlpConfig, "epochs", "MLP training epochs", {}),
+    ("neighbors", KnnConfig, "k_neighbors", "kNN neighbor count", {}),
+    ("components", PcaConfig, "components", "PCA dimensionality (default: sweep all)",
+     {"type": int}),
+    ("hms", HsConfig, "hms", "harmony memory size", {}),
+    ("hmcr", HsConfig, "hmcr", "memory considering rate", {}),
+    ("par", HsConfig, "par", "pitch adjusting rate", {}),
+    ("bandwidth", HsConfig, "bandwidth", "pitch bandwidth", {}),
+    ("iterations", HsConfig, "max_iterations", "HS improvisations", {}),
+    ("pitch-topology", HsConfig, "pitch_topology", "neighbor line for pitch adjustment",
+     {"choices": PITCH_TOPOLOGIES}),
+    ("population", GaConfig, "population", "GA chromosomes", {}),
+    ("generations", GaConfig, "generations", "GA generations", {}),
+    ("crossover-rate", GaConfig, "crossover_rate", "GA crossover rate", {}),
+    ("mutation-rate", GaConfig, "mutation_rate", "GA mutation rate", {}),
+    ("particles", PsoConfig, "particles", "PSO swarm size", {}),
+    ("pso-iterations", PsoConfig, "iterations", "PSO iterations", {}),
+    ("c1", PsoConfig, "c1", "PSO cognitive factor", {}),
+    ("c2", PsoConfig, "c2", "PSO social factor", {}),
+    ("inertia", PsoConfig, "inertia", "PSO inertia weight", {}),
+)
 
 
 class UsageError(Exception):
@@ -79,10 +117,30 @@ def _name_list(text: str) -> tuple[str, ...]:
     values = tuple(tok.strip().lower() for tok in text.split(",") if tok.strip())
     if not values:
         raise argparse.ArgumentTypeError("expected at least one optimizer name")
-    bad = [v for v in values if v not in _OPTIMIZER_FLAGS]
+    bad = [v for v in values if v not in OPTIMIZERS]
     if bad:
         raise argparse.ArgumentTypeError(f"unknown optimizer(s): {','.join(bad)}")
     return values
+
+
+def _add_flags(sub: argparse.ArgumentParser, *classes: type) -> None:
+    """Put the rows of classes on sub in table order; list its optimizers in optimizer_names."""
+    for name, cls, field, help, keywords in _FLAGS:
+        if cls in classes:
+            default = getattr(cls, field)
+            if "action" not in keywords:
+                keywords = {"type": type(default), **keywords}
+            sub.add_argument(f"--{name}", default=default, help=help, **keywords)
+    taken = tuple(name for name, cls in OPTIMIZERS.items() if cls in classes)
+    sub.set_defaults(optimizer_names=(sub.get_default("optimizer_names") or ()) + taken)
+
+
+def _config(cls: type, ns: argparse.Namespace, **derived):
+    """cls from its rows' values in ns plus those derived arguments it has fields for."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    values = {field: getattr(ns, name.replace("-", "_"))
+              for name, row_cls, field, *_ in _FLAGS if row_cls is cls}
+    return cls(**values, **{key: v for key, v in derived.items() if key in names})
 
 
 def _add_common(sub: argparse.ArgumentParser, *, reports: bool,
@@ -93,67 +151,12 @@ def _add_common(sub: argparse.ArgumentParser, *, reports: bool,
                      help="global seed; per-component seeds derive from it")
     sub.add_argument("--config", default=None,
                      help="key=value file; flags override its entries")
-    sub.add_argument("--classifier", choices=("mlp", "knn"),
-                     default=ObjectiveConfig.classifier, help="wrapped classifier")
-    sub.add_argument("--folds", type=int, default=ObjectiveConfig.folds,
-                     help="stratified CV folds")
-    sub.add_argument("--standardize", action=argparse.BooleanOptionalAction,
-                     default=ObjectiveConfig.standardize,
-                     help="z-score features per fold (train stats)")
-    sub.add_argument("--fold-average", action=argparse.BooleanOptionalAction,
-                     default=ObjectiveConfig.fold_average,
-                     help="report mean of fold accuracies instead of pooled")
-    sub.add_argument("--hidden", type=int, default=None,
-                     help="MLP hidden neurons (default: ceil((features+classes)/2))")
-    sub.add_argument("--learning-rate", type=float, default=MlpConfig.learning_rate,
-                     help="MLP learning rate")
-    sub.add_argument("--momentum", type=float, default=MlpConfig.momentum,
-                     help="MLP momentum")
-    sub.add_argument("--epochs", type=int, default=MlpConfig.epochs,
-                     help="MLP training epochs")
-    sub.add_argument("--neighbors", type=int, default=KnnConfig.k_neighbors,
-                     help="kNN neighbor count")
+    _add_flags(sub, ObjectiveConfig, MlpConfig, KnnConfig)
     if reports:
         sub.add_argument("--output", default=None,
                          help=f"report file path (default: {default_output})")
         sub.add_argument("--format", choices=("csv", "markdown"), default="csv",
                          help="report file format")
-
-
-def _add_hs_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--hms", type=int, default=HsConfig.hms, help="harmony memory size")
-    sub.add_argument("--hmcr", type=float, default=HsConfig.hmcr,
-                     help="memory considering rate")
-    sub.add_argument("--par", type=float, default=HsConfig.par, help="pitch adjusting rate")
-    sub.add_argument("--bandwidth", type=float, default=HsConfig.bandwidth,
-                     help="pitch bandwidth")
-    sub.add_argument("--iterations", type=int, default=HsConfig.max_iterations,
-                     help="HS improvisations")
-    sub.add_argument("--pitch-topology", choices=PITCH_TOPOLOGIES,
-                     default=HsConfig.pitch_topology,
-                     help="neighbor line for pitch adjustment")
-
-
-def _add_ga_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--population", type=int, default=GaConfig.population,
-                     help="GA chromosomes")
-    sub.add_argument("--generations", type=int, default=GaConfig.generations,
-                     help="GA generations")
-    sub.add_argument("--crossover-rate", type=float, default=GaConfig.crossover_rate,
-                     help="GA crossover rate")
-    sub.add_argument("--mutation-rate", type=float, default=GaConfig.mutation_rate,
-                     help="GA mutation rate")
-
-
-def _add_pso_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--particles", type=int, default=PsoConfig.particles,
-                     help="PSO swarm size")
-    sub.add_argument("--pso-iterations", type=int, default=PsoConfig.iterations,
-                     help="PSO iterations")
-    sub.add_argument("--c1", type=float, default=PsoConfig.c1, help="PSO cognitive factor")
-    sub.add_argument("--c2", type=float, default=PsoConfig.c2, help="PSO social factor")
-    sub.add_argument("--inertia", type=float, default=PsoConfig.inertia,
-                     help="PSO inertia weight")
 
 
 def _build_parser() -> _Parser:
@@ -169,9 +172,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--optimizer", choices=("hs", "ga", "pso"), default="hs",
                    help="search algorithm")
-    _add_hs_flags(p)
-    _add_ga_flags(p)
-    _add_pso_flags(p)
+    _add_flags(p, HsConfig, GaConfig, PsoConfig)
 
     p = subs.add_parser("grid", help="HMS x iterations accuracy grid", **kwargs)
     _add_common(p, reports=True, default_output="grid_report.<format>")
@@ -181,7 +182,7 @@ def _build_parser() -> _Parser:
                    help="comma-separated HMS column values")
     p.add_argument("--iteration-values", type=_int_list, default="10,20,30,40,50",
                    help="comma-separated iteration row values")
-    _add_hs_flags(p)
+    _add_flags(p, HsConfig)
 
     p = subs.add_parser("fractions", help="sweep subset sizes as feature fractions",
                         **kwargs)
@@ -189,23 +190,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--fractions", type=_percent_list,
                    default=",".join(f"{pct:g}" for pct in DEFAULT_FRACTIONS),
                    help="comma-separated percentages in (0,100]")
-    _add_hs_flags(p)
+    _add_flags(p, HsConfig)
 
     p = subs.add_parser("compare", help="run several optimizers and time them", **kwargs)
     _add_common(p, reports=True, default_output="compare_report.<format>")
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--optimizers", type=_name_list, default="hs,ga,pso",
-                   help="comma-separated subset of hs,ga,pso,pca")
-    p.add_argument("--components", type=int, default=None,
-                   help="PCA dimensionality (default: sweep all)")
-    _add_hs_flags(p)
-    _add_ga_flags(p)
-    _add_pso_flags(p)
+                   help=f"comma-separated subset of {','.join(OPTIMIZERS)}")
+    _add_flags(p, PcaConfig, HsConfig, GaConfig, PsoConfig)
 
     p = subs.add_parser("pca", help="PCA baseline accuracy", **kwargs)
     _add_common(p, reports=False, default_output="")
-    p.add_argument("--components", type=int, default=None,
-                   help="component count (default: sweep all and keep the best)")
+    _add_flags(p, PcaConfig)
 
     p = subs.add_parser("eval", help="cross-validated accuracy of a fixed subset",
                         **kwargs)
@@ -232,7 +228,7 @@ def _config_file_args(path: str) -> list[str]:
             value = value.strip()
             if not key:
                 raise UsageError(f"{path}:{lineno}: empty key")
-            if key in _BOOLEAN_KEYS:
+            if any(name == key and "action" in kw for name, *_, kw in _FLAGS):
                 if value.lower() in _TRUE_WORDS:
                     args.append(f"--{key}")
                 elif value.lower() in _FALSE_WORDS:
@@ -287,46 +283,17 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if not os.path.isfile(ns.data):
         raise UsageError(f"dataset file not found: {ns.data}")
     try:
-        mlp = MlpConfig(
-            hidden_neurons=ns.hidden,
-            learning_rate=ns.learning_rate,
-            momentum=ns.momentum,
-            epochs=ns.epochs,
-            seed=derive_seed(ns.seed, "mlp"),
-        )
-        knn = KnnConfig(k_neighbors=ns.neighbors)
-        ns.objective = ObjectiveConfig(
-            classifier=ns.classifier,
-            mlp=mlp,
-            knn=knn,
-            folds=ns.folds,
+        ns.objective = _config(
+            ObjectiveConfig, ns,
+            mlp=_config(MlpConfig, ns, seed=derive_seed(ns.seed, "mlp")),
+            knn=_config(KnnConfig, ns),
             fold_seed=derive_seed(ns.seed, "folds"),
-            standardize=ns.standardize,
-            fold_average=ns.fold_average,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if getattr(ns, "output", "") is None:
         ns.output = f"{command}_report.{'csv' if ns.format == 'csv' else 'md'}"
     return ns
-
-
-def _optimizer_config(name: str, ns: argparse.Namespace, n_features: int,
-                      k: int) -> OptimizerConfig:
-    """One optimizer's config from its flags; the config validates them."""
-    if name == "pca":
-        return PcaConfig(components=ns.components)
-    seed = derive_seed(ns.seed, name)
-    if name == "hs":
-        return HsConfig(n_features, k, hms=ns.hms, hmcr=ns.hmcr, par=ns.par,
-                        bandwidth=ns.bandwidth, max_iterations=ns.iterations, seed=seed,
-                        pitch_topology=ns.pitch_topology)
-    if name == "ga":
-        return GaConfig(n_features, k, population=ns.population,
-                        generations=ns.generations, crossover_rate=ns.crossover_rate,
-                        mutation_rate=ns.mutation_rate, seed=seed)
-    return PsoConfig(n_features, k, particles=ns.particles, iterations=ns.pso_iterations,
-                     c1=ns.c1, c2=ns.c2, inertia=ns.inertia, seed=seed)
 
 
 def _subset_line(prefix: str, d: Dataset, indices: tuple[int, ...]) -> str:
@@ -339,11 +306,11 @@ def _subset_line(prefix: str, d: Dataset, indices: tuple[int, ...]) -> str:
 def main(ns: argparse.Namespace) -> int:
     d = load_csv(ns.data, ns.label)
     objective = SubsetObjective(d, ns.objective)
-    # every optimizer whose flags the subcommand accepts gets a config, so a
-    # bad value is rejected even when the run does not use that optimizer;
-    # fractions has no --k because its sweep sets the subset size
-    configs = {name: _optimizer_config(name, ns, d.n_features, getattr(ns, "k", 1))
-               for name, flag in _OPTIMIZER_FLAGS.items() if hasattr(ns, flag)}
+    # every optimizer whose flags the subcommand takes gets a config, so a bad value
+    # is rejected even if unused; fractions has no --k, as its sweep sets the size
+    configs = {name: _config(OPTIMIZERS[name], ns, n_features=d.n_features,
+                             subset_size=getattr(ns, "k", 1), seed=derive_seed(ns.seed, name))
+               for name in ns.optimizer_names}
 
     if ns.command == "select":
         best, history = run_optimizer(configs[ns.optimizer], objective)
@@ -366,12 +333,11 @@ def main(ns: argparse.Namespace) -> int:
     if ns.command == "fractions":
         report = sweep_fractions(ns.fractions, configs["hs"], objective)
         emit_report(report, ns.format, ns.output)
-        best_i = max(range(len(report.accuracies)),
-                     key=lambda i: (report.accuracies[i], -i))
+        best = report.best_index
         print(
-            f"best fraction: {report.fraction_percents[best_i]:g} "
-            f"(k={report.subset_sizes[best_i]}) "
-            f"accuracy={report.accuracies[best_i]:.2f}"
+            f"best fraction: {report.fraction_percents[best]:g} "
+            f"(k={report.subset_sizes[best]}) "
+            f"accuracy={report.accuracies[best]:.2f}"
         )
         print(f"report written: {ns.output}")
         return 0

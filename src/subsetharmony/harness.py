@@ -119,6 +119,11 @@ class FractionSweepReport:
         if any(k < 1 for k in self.subset_sizes):
             raise ValueError("subset sizes must be >= 1")
 
+    @property
+    def best_index(self) -> int:
+        """Index of the highest accuracy; ties go to the earlier fraction."""
+        return self.accuracies.index(max(self.accuracies))
+
 
 def sweep_grid(
     hms_values: Sequence[int],
@@ -178,7 +183,8 @@ def sweep_fractions(
 
 
 OptimizerConfig = HsConfig | GaConfig | PsoConfig | PcaConfig
-_ROW_NAMES = {HsConfig: "HS", GaConfig: "GA", PsoConfig: "PSO", PcaConfig: "PCA"}
+# each optimizer's name, as the CLI spells it, and its config class
+OPTIMIZERS = {"hs": HsConfig, "ga": GaConfig, "pso": PsoConfig, "pca": PcaConfig}
 
 
 def run_optimizer(cfg: OptimizerConfig, objective: SubsetObjective):
@@ -218,7 +224,8 @@ def compare_optimizers(
         else:
             best, _ = result
             size, acc = best.subset.k, best.fitness
-        rows.append(ComparisonRow(_ROW_NAMES[type(cfg)], size, acc, elapsed))
+        name = next(name for name, cls in OPTIMIZERS.items() if type(cfg) is cls)
+        rows.append(ComparisonRow(name.upper(), size, acc, elapsed))
     return ComparisonReport(rows=tuple(rows))
 
 

@@ -12,6 +12,7 @@ from subsetharmony import (
     ObjectiveConfig,
     TrainingDivergedError,
 )
+from subsetharmony import classifiers
 from subsetharmony.classifiers import (
     _BLOCK_VALUES,
     MlpModel,
@@ -392,12 +393,14 @@ class TestKnnDistanceOrder:
 
 
 class TestKnnMemory:
-    def test_leave_one_out_peak_is_bounded(self):
+    def test_leave_one_out_peak_is_bounded(self, monkeypatch):
         # the kernel holds a few (q, t) planes of _BLOCK_VALUES values, never the
         # (n, n, f) difference tensor (376 MiB here) or even one (n, n) array (8 MiB)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1020, 48))
         y = rng.integers(0, 3, size=1020)
+        # fresh buffers, so the vote grows them inside the measurement
+        monkeypatch.setattr(classifiers, "_VOTE_BUFFERS", {})
         tracemalloc.start()
         try:
             _knn_vote(x, y, 3, x, 5, skip_self=True)
@@ -420,8 +423,9 @@ def _sequential_train(train: Dataset, cfg: MlpConfig) -> MlpModel:
     """Reference: one network, one sample per step, one weight array per layer."""
     hidden_n = cfg.hidden_neurons or default_hidden_neurons(train.n_features, train.n_classes)
     rng = np.random.default_rng(cfg.seed)
-    init = MlpModel._draw(rng, train.n_features, hidden_n, train.n_classes)
-    w = [init.w_hidden.copy(), init.b_hidden.copy(), init.w_out.copy(), init.b_out.copy()]
+    f, c = train.n_features, train.n_classes
+    w = [rng.uniform(-0.5, 0.5, size=shape) for shape in ((f, hidden_n), hidden_n,
+                                                          (hidden_n, c), c)]
     v = [np.zeros_like(a) for a in w]
     for _ in range(cfg.epochs):
         for i in rng.permutation(train.n_samples):

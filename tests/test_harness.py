@@ -83,6 +83,16 @@ class TestReportTypes:
         with pytest.raises(ValueError):
             FractionSweepReport((), (), ())
 
+    @pytest.mark.parametrize("accuracies, best", [
+        ((50.0, 70.0, 70.0), 1),   # a tie goes to the earlier fraction
+        ((70.0, 50.0, 70.0), 0),
+        ((50.0, 60.0, 70.0), 2),
+        ((0.0, -0.0, 0.0), 0),     # equal floats tie whatever their sign
+    ])
+    def test_fraction_report_best_index(self, accuracies, best):
+        report = FractionSweepReport((15.0, 30.0, 45.0), (1, 2, 3), accuracies)
+        assert report.best_index == best
+
 
 class TestSweepGrid:
     def test_constant_objective_ties_break_low(self, tiny8):
