@@ -2,7 +2,9 @@
 
 Precedence for every setting: command-line flag, then SUBSETHARMONY_SEED
 (seed only), then --config file entries, then built-in defaults. The config
-file is flat key=value text using the long flag names.
+file is flat key=value text using the long flag names; --config, like any
+flag, may be abbreviated. parse_args only parses; main reads the dataset, then
+builds every config, whose classes range-check each value.
 
 Exit codes: 0 success, 1 usage or validation error, 2 data error,
 3 runtime failure.
@@ -30,7 +32,7 @@ from .harness import (
 )
 from .seeding import derive_seed
 from .subsets import FeatureSubset
-from .wrapper import ObjectiveConfig, SubsetObjective, confidence_interval
+from .wrapper import CLASSIFIERS, ObjectiveConfig, SubsetObjective, confidence_interval
 
 ENV_SEED = "SUBSETHARMONY_SEED"
 _TRUE_WORDS = frozenset({"true", "1", "yes", "on"})
@@ -43,7 +45,7 @@ _FALSE_WORDS = frozenset({"false", "0", "no", "off"})
 # builds a config from its rows.
 _FLAGS = (
     ("classifier", ObjectiveConfig, "classifier", "wrapped classifier",
-     {"choices": ("mlp", "knn")}),
+     {"choices": CLASSIFIERS}),
     ("folds", ObjectiveConfig, "folds", "stratified CV folds", {}),
     ("standardize", ObjectiveConfig, "standardize", "z-score features per fold (train stats)",
      {"action": argparse.BooleanOptionalAction}),
@@ -78,7 +80,7 @@ _FLAGS = (
 
 
 class UsageError(Exception):
-    """Bad invocation: unknown flag, missing file, out-of-range value."""
+    """Bad invocation: unknown flag, malformed value, missing file."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,24 +95,17 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
-
-
-def _percent_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
-    return values
+def _list_of(kind: type, noun: str):
+    """A parser of comma-separated kind values, each called a noun in its errors."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(kind(tok) for tok in text.split(",") if tok.strip() != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s, got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one {noun}")
+        return values
+    return parse
 
 
 def _name_list(text: str) -> tuple[str, ...]:
@@ -170,7 +165,8 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("select", help="search for the best k-feature subset", **kwargs)
     _add_common(p, reports=False, default_output="")
     p.add_argument("--k", type=int, required=True, help="subset size")
-    p.add_argument("--optimizer", choices=("hs", "ga", "pso"), default="hs",
+    p.add_argument("--optimizer", default="hs",
+                   choices=tuple(name for name, cls in OPTIMIZERS.items() if cls is not PcaConfig),
                    help="search algorithm")
     _add_flags(p, HsConfig, GaConfig, PsoConfig)
 
@@ -178,16 +174,16 @@ def _build_parser() -> _Parser:
     _add_common(p, reports=True, default_output="grid_report.<format>")
     p.add_argument("--k", type=int, required=True, help="subset size")
     # comma-string defaults: argparse runs them through the flag's type
-    p.add_argument("--hms-values", type=_int_list, default="10,20,30,40,50",
+    p.add_argument("--hms-values", type=_list_of(int, "integer"), default="10,20,30,40,50",
                    help="comma-separated HMS column values")
-    p.add_argument("--iteration-values", type=_int_list, default="10,20,30,40,50",
+    p.add_argument("--iteration-values", type=_list_of(int, "integer"), default="10,20,30,40,50",
                    help="comma-separated iteration row values")
     _add_flags(p, HsConfig)
 
     p = subs.add_parser("fractions", help="sweep subset sizes as feature fractions",
                         **kwargs)
     _add_common(p, reports=True, default_output="fractions_report.<format>")
-    p.add_argument("--fractions", type=_percent_list,
+    p.add_argument("--fractions", type=_list_of(float, "number"),
                    default=",".join(f"{pct:g}" for pct in DEFAULT_FRACTIONS),
                    help="comma-separated percentages in (0,100]")
     _add_flags(p, HsConfig)
@@ -206,7 +202,7 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("eval", help="cross-validated accuracy of a fixed subset",
                         **kwargs)
     _add_common(p, reports=False, default_output="")
-    p.add_argument("--features", type=_int_list, required=True,
+    p.add_argument("--features", type=_list_of(int, "integer"), required=True,
                    help="comma-separated feature indices")
 
     return parser
@@ -240,14 +236,14 @@ def _config_file_args(path: str) -> list[str]:
     return args
 
 
-def _scan_config_path(tokens: list[str]) -> str | None:
-    path = None
-    for i, tok in enumerate(tokens):
-        if tok == "--config" and i + 1 < len(tokens):
-            path = tokens[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    return path
+def _config_path(tokens: list[str]) -> str | None:
+    """The --config value in tokens, however argparse lets the flag be spelled."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    try:
+        return pre.parse_known_args(tokens)[0].config
+    except UsageError:  # the full parser reports it
+        return None
 
 
 def _env_seed_args() -> list[str]:
@@ -264,8 +260,8 @@ def _env_seed_args() -> list[str]:
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse flags, SUBSETHARMONY_SEED and --config into one namespace.
 
-    The namespace also carries `objective`, the resolved ObjectiveConfig,
-    and, for report commands, `output` with its format-dependent default.
+    For report commands the namespace's `output` gets its format-dependent
+    default. No config is built here: main builds them after reading the data.
     """
     parser = _build_parser()
     if not argv or argv[0] in ("-h", "--help"):
@@ -273,7 +269,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             parser.parse_args(argv)  # prints help, raises SystemExit(0)
         raise UsageError(f"a command is required\n{parser.format_usage()}".rstrip())
     command, rest = argv[0], list(argv[1:])
-    config_path = _scan_config_path(rest)
+    config_path = _config_path(rest)
     injected: list[str] = []
     if config_path is not None:
         injected.extend(_config_file_args(config_path))
@@ -282,15 +278,6 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     if not os.path.isfile(ns.data):
         raise UsageError(f"dataset file not found: {ns.data}")
-    try:
-        ns.objective = _config(
-            ObjectiveConfig, ns,
-            mlp=_config(MlpConfig, ns, seed=derive_seed(ns.seed, "mlp")),
-            knn=_config(KnnConfig, ns),
-            fold_seed=derive_seed(ns.seed, "folds"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     if getattr(ns, "output", "") is None:
         ns.output = f"{command}_report.{'csv' if ns.format == 'csv' else 'md'}"
     return ns
@@ -305,7 +292,12 @@ def _subset_line(prefix: str, d: Dataset, indices: tuple[int, ...]) -> str:
 
 def main(ns: argparse.Namespace) -> int:
     d = load_csv(ns.data, ns.label)
-    objective = SubsetObjective(d, ns.objective)
+    objective = SubsetObjective(d, _config(
+        ObjectiveConfig, ns,
+        mlp=_config(MlpConfig, ns, seed=derive_seed(ns.seed, "mlp")),
+        knn=_config(KnnConfig, ns),
+        fold_seed=derive_seed(ns.seed, "folds"),
+    ))
     # every optimizer whose flags the subcommand takes gets a config, so a bad value
     # is rejected even if unused; fractions has no --k, as its sweep sets the size
     configs = {name: _config(OPTIMIZERS[name], ns, n_features=d.n_features,

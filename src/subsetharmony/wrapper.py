@@ -81,6 +81,10 @@ class EvaluationResult:
         object.__setattr__(self, "per_fold_accuracy", tuple(self.per_fold_accuracy))
 
 
+# the classifiers an objective can wrap
+CLASSIFIERS = ("mlp", "knn")
+
+
 @dataclass(frozen=True)
 class ObjectiveConfig:
     """Which classifier scores a subset, and how the folds are built.
@@ -98,8 +102,9 @@ class ObjectiveConfig:
     fold_average: bool = False
 
     def __post_init__(self) -> None:
-        if self.classifier not in ("mlp", "knn"):
-            raise ValueError(f"classifier must be 'mlp' or 'knn', got {self.classifier!r}")
+        if self.classifier not in CLASSIFIERS:
+            raise ValueError(f"classifier must be {' or '.join(map(repr, CLASSIFIERS))}, "
+                             f"got {self.classifier!r}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
 

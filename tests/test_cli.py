@@ -26,8 +26,23 @@ def _run(capsys, argv):
     return code, out.out, out.err
 
 
+class _Built(Exception):
+    """Stops main once it has built the objective config."""
+
+
+def _objective_config(monkeypatch, ns):
+    """The ObjectiveConfig main builds for ns, after reading its dataset."""
+    def capture(data, config):
+        raise _Built(config)
+
+    monkeypatch.setattr(cli, "SubsetObjective", capture)
+    with pytest.raises(_Built) as built:
+        cli.main(ns)
+    return built.value.args[0]
+
+
 class TestParseArgs:
-    def test_select_example_defaults(self, tiny8_path):
+    def test_select_example_defaults(self, tiny8_path, monkeypatch):
         spec = cli.parse_args([
             "select", "--data", str(tiny8_path), "--label", "label",
             "--optimizer", "hs", "--k", "48",
@@ -37,16 +52,18 @@ class TestParseArgs:
         assert spec.optimizer == "hs"
         assert (spec.hms, spec.hmcr, spec.par, spec.bandwidth) == (20, 0.7, 0.3, 1.0)
         assert spec.iterations == 100
-        assert spec.objective.classifier == "mlp"
-        assert spec.objective.folds == 3
-        assert spec.objective.standardize is True
+        objective = _objective_config(monkeypatch, spec)
+        assert objective.classifier == "mlp"
+        assert objective.folds == 3
+        assert objective.standardize is True
 
-    def test_seed_fans_out_to_components(self, tiny8_path):
-        a = cli.parse_args(["select", "--data", str(tiny8_path), "--k", "3"])
-        b = cli.parse_args(["select", "--data", str(tiny8_path), "--k", "3",
-                            "--seed", "1"])
-        assert a.objective.fold_seed != b.objective.fold_seed
-        assert a.objective.mlp.seed != a.objective.fold_seed
+    def test_seed_fans_out_to_components(self, tiny8_path, monkeypatch):
+        a = _objective_config(monkeypatch, cli.parse_args(
+            ["select", "--data", str(tiny8_path), "--k", "3"]))
+        b = _objective_config(monkeypatch, cli.parse_args(
+            ["select", "--data", str(tiny8_path), "--k", "3", "--seed", "1"]))
+        assert a.fold_seed != b.fold_seed
+        assert a.mlp.seed != a.fold_seed
 
     def test_pso_iterations_flag_is_separate(self, tiny8_path):
         spec = cli.parse_args([
@@ -136,7 +153,7 @@ class TestUsageErrors:
 
 
 class TestConfigAndEnv:
-    def test_config_file_supplies_values(self, tmp_path, tiny8_path):
+    def test_config_file_supplies_values(self, tmp_path, tiny8_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nhmcr = 0.9\niterations = 25\n"
                        "fold_average = true\n")
@@ -144,7 +161,19 @@ class TestConfigAndEnv:
                                "--config", str(cfg)])
         assert spec.hmcr == 0.9
         assert spec.iterations == 25
-        assert spec.objective.fold_average is True
+        assert _objective_config(monkeypatch, spec).fold_average is True
+
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"],
+                                          ["--conf", "{}"], ["--co={}"]],
+                             ids=["config", "config=", "conf", "co="])
+    def test_config_flag_spellings_load_the_file(self, tmp_path, capsys, tiny8_path,
+                                                 spelling):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("hms = 0\n")
+        code, _, err = _run(capsys, ["select", "--data", str(tiny8_path), "--k", "1",
+                                     *FAST, *(tok.format(cfg) for tok in spelling)])
+        assert code == 1
+        assert err.startswith("error: hms must be >= 1")
 
     def test_flag_overrides_config(self, tmp_path, tiny8_path):
         cfg = tmp_path / "run.cfg"
@@ -173,12 +202,12 @@ class TestConfigAndEnv:
         assert code == 1
         assert cli.ENV_SEED in err
 
-    def test_boolean_config_keys(self, tmp_path, tiny8_path):
+    def test_boolean_config_keys(self, tmp_path, tiny8_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("standardize = off\n")
         spec = cli.parse_args(["select", "--data", str(tiny8_path), "--k", "3",
                                "--config", str(cfg)])
-        assert spec.objective.standardize is False
+        assert _objective_config(monkeypatch, spec).standardize is False
 
     def test_bad_boolean_value(self, tmp_path, capsys, tiny8_path):
         cfg = tmp_path / "run.cfg"
@@ -332,6 +361,24 @@ class TestErrorExitCodes:
         code, _, err = _run(capsys, ["select", "--data", str(bad), "--k", "1",
                                      *FAST])
         assert code == 2
+
+    # the objective's fields, checked by ObjectiveConfig, MlpConfig and KnnConfig
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--folds", "1", "folds"), ("--epochs", "0", "epochs"),
+        ("--neighbors", "0", "k_neighbors"), ("--hidden", "0", "hidden_neurons"),
+        ("--momentum", "1", "momentum"), ("--learning-rate", "nan", "learning_rate"),
+    ])
+    def test_dataset_is_read_before_objective_values_are_checked(
+            self, capsys, tmp_path, tiny8_path, flag, value, field):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b,label\n1,2\n")
+        code, _, err = _run(capsys, ["select", "--data", str(bad), "--k", "1", flag, value])
+        assert code == 2
+        assert err.startswith("data error:")
+        code, _, err = _run(capsys, ["select", "--data", str(tiny8_path), "--k", "1",
+                                     flag, value])
+        assert code == 1
+        assert err.startswith(f"error: {field} ")
 
     def test_overflowing_features_are_a_named_data_error(self, tmp_path):
         big = tmp_path / "big.csv"

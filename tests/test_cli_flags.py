@@ -1,11 +1,12 @@
 """The flag table: every row reaches its config field, and every field has a row
-or is derived."""
+or is derived. The name choices come from the library."""
 
+import argparse
 import dataclasses
 
 import pytest
 
-from subsetharmony import cli
+from subsetharmony import cli, harness, wrapper
 from subsetharmony.baselines import GaConfig, PcaConfig, PsoConfig
 from subsetharmony.classifiers import KnnConfig, MlpConfig
 from subsetharmony.harmony import HsConfig
@@ -41,11 +42,13 @@ def _tokens(name, value):
 
 
 def _compare_configs(monkeypatch, tiny8_path, extra):
-    """ns.objective and the optimizer configs main builds for a compare run."""
+    """The objective and optimizer configs main builds for a compare run."""
     built = {}
 
     def capture(configs, objective):
         built.update({type(cfg): cfg for cfg in configs})
+        built.update({ObjectiveConfig: objective.config, MlpConfig: objective.config.mlp,
+                      KnnConfig: objective.config.knn})
         raise _Built
 
     monkeypatch.setattr(cli, "compare_optimizers", capture)
@@ -53,8 +56,6 @@ def _compare_configs(monkeypatch, tiny8_path, extra):
                          "--optimizers", "hs,ga,pso,pca", *extra])
     with pytest.raises(_Built):
         cli.main(ns)
-    built.update({ObjectiveConfig: ns.objective, MlpConfig: ns.objective.mlp,
-                  KnnConfig: ns.objective.knn})
     return built
 
 
@@ -94,3 +95,21 @@ def test_every_config_field_is_a_row_or_derived():
 def test_subcommands_take_their_optimizers(command, extra, names, tiny8_path):
     ns = cli.parse_args([command, "--data", str(tiny8_path), *extra])
     assert ns.optimizer_names == names
+
+
+def _choices(command, flag):
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subs.choices[command]._actions if flag in a.option_strings).choices
+
+
+@pytest.mark.parametrize("command", ["select", "grid", "fractions", "compare", "pca", "eval"])
+def test_classifier_choices_are_the_library_names(command):
+    assert _choices(command, "--classifier") == wrapper.CLASSIFIERS
+    for name in wrapper.CLASSIFIERS:
+        assert ObjectiveConfig(classifier=name).classifier == name
+
+
+def test_select_optimizer_choices_are_the_non_pca_optimizers():
+    assert _choices("select", "--optimizer") == tuple(
+        name for name, cls in harness.OPTIMIZERS.items() if cls is not PcaConfig)
