@@ -361,6 +361,20 @@ def _vote_buffer(role: str, q: int, t: int) -> np.ndarray:
     return buf[:q * t].reshape(q, t)
 
 
+def _left_operands(x: np.ndarray) -> np.ndarray:
+    """(f, n, 2): for each feature j, the (n, 2) matrix [x[:, j], 1]."""
+    out = np.ones((x.shape[1], x.shape[0], 2))
+    out[:, :, 0] = x.T
+    return out
+
+
+def _right_operands(x: np.ndarray) -> np.ndarray:
+    """(f, 2, n): for each feature j, the (2, n) matrix [1; -x[:, j]]."""
+    out = np.ones((x.shape[1], 2, x.shape[0]))
+    np.negative(x.T, out=out[:, 1])
+    return out
+
+
 def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
               queries: np.ndarray, k: int, skip_self: bool = False) -> np.ndarray:
     """The one kNN rule: class ids voted by the k nearest training rows.
@@ -368,12 +382,21 @@ def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
     The squared Euclidean distance of a query to a training row is the sum of
     the squared feature differences, added left to right in column order: one
     contiguous (q, t) plane of differences per feature, squared in place and
-    added to the running sum. The neighbours are the rows at or below each
-    query's k-th distance, found by partition; where that distance is shared by
-    more rows than fit, the lower training-row indices win, and tied votes go
-    to the lowest class id. k beyond the rows available takes them all.
-    skip_self=True is leave-one-out: queries are the training rows themselves,
-    and query i never counts training row i among its neighbours.
+    added to the running sum. Feature j's plane is one K=2 matrix product,
+    [a, 1] @ [1; -b] with a the block's query column and b the training
+    column. Both products a*1 and 1*(-b) are exact, so each element is their
+    sum rounded once, fl(a - b), with or without FMA and in either order; only
+    a zero's sign can differ from a subtraction's, and squaring drops it. This
+    is not the Gram expansion |a|^2 + |b|^2 - 2ab, which rounds differently
+    and so can break or make distance ties. The product runs through BLAS,
+    which writes the plane without numpy's broadcast loop.
+
+    The neighbours are the rows at or below each query's k-th distance, found
+    by partition; where that distance is shared by more rows than fit, the
+    lower training-row indices win, and tied votes go to the lowest class id.
+    k beyond the rows available takes them all. skip_self=True is
+    leave-one-out: queries are the training rows themselves, and query i
+    never counts training row i among its neighbours.
 
     The blocks' (q, t) arrays live in module-level buffers reused across
     calls, so their pages are not faulted in afresh; this makes the vote
@@ -386,17 +409,16 @@ def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
     out = np.zeros(n_queries, dtype=np.int64)
     if k < 1:
         return out
-    # one contiguous row per feature, so each plane reads two contiguous columns
-    train_cols = np.ascontiguousarray(train_x.T)
+    right = _right_operands(train_x)
     for start in range(0, n_queries, rows):
-        block = np.ascontiguousarray(queries[start:start + rows].T)
-        q = block.shape[1]
+        left = _left_operands(queries[start:start + rows])
+        q = left.shape[1]
         sq_dist, plane, part = (_vote_buffer(role, q, n_train)
                                 for role in ("sum", "plane", "partition"))
-        np.subtract(block[0][:, None], train_cols[0], out=sq_dist)
+        np.matmul(left[0], right[0], out=sq_dist)
         np.square(sq_dist, out=sq_dist)
-        for query_col, train_col in zip(block[1:], train_cols[1:]):
-            diff = np.subtract(query_col[:, None], train_col, out=plane)
+        for query_op, train_op in zip(left[1:], right[1:]):
+            diff = np.matmul(query_op, train_op, out=plane)
             sq_dist += np.square(diff, out=diff)
         if skip_self:
             # nan fails both comparisons below, so no query picks its own row
@@ -405,9 +427,10 @@ def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
         part.partition(k - 1, axis=1)
         kth = part[:, k - 1:k]
         chosen = sq_dist <= kth
-        # rows whose k-th distance is shared past k keep the lowest-index ties
-        over = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k)
-        if over.size:
+        # every row chooses at least k, so one total count says whether any row
+        # shares its k-th distance past k; those rows keep the lowest-index ties
+        if np.count_nonzero(chosen) > q * k:
+            over = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k)
             dist, cut = sq_dist[over], kth[over]
             tied = dist == cut
             room = k - np.count_nonzero(dist < cut, axis=1)

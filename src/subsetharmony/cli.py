@@ -84,6 +84,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # the top-level parser's subcommand parsers
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
@@ -160,6 +162,7 @@ def _build_parser() -> _Parser:
         description="Wrapper feature selection with harmony search and baselines.",
     )
     subs = parser.add_subparsers(dest="command", metavar="command")
+    parser.commands = subs.choices
     kwargs = {"formatter_class": _HelpFormatter}
 
     p = subs.add_parser("select", help="search for the best k-feature subset", **kwargs)
@@ -236,10 +239,17 @@ def _config_file_args(path: str) -> list[str]:
     return args
 
 
-def _config_path(tokens: list[str]) -> str | None:
-    """The --config value in tokens, however argparse lets the flag be spelled."""
+def _config_path(sub: argparse.ArgumentParser, tokens: list[str]) -> str | None:
+    """The --config value in tokens, however sub lets the flag be spelled.
+
+    The pre-parser holds every option string of sub, so a prefix resolves (or
+    is ambiguous) as it does in sub; it checks no values and requires nothing.
+    """
     pre = _Parser(add_help=False)
-    pre.add_argument("--config")
+    for action in sub._actions:
+        pre.add_argument(*action.option_strings, **(
+            {"action": "store_const", "const": None} if action.nargs == 0
+            else {"nargs": action.nargs}))
     try:
         return pre.parse_known_args(tokens)[0].config
     except UsageError:  # the full parser reports it
@@ -269,7 +279,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             parser.parse_args(argv)  # prints help, raises SystemExit(0)
         raise UsageError(f"a command is required\n{parser.format_usage()}".rstrip())
     command, rest = argv[0], list(argv[1:])
-    config_path = _config_path(rest)
+    sub = parser.commands.get(command)
+    config_path = None if sub is None else _config_path(sub, rest)
     injected: list[str] = []
     if config_path is not None:
         injected.extend(_config_file_args(config_path))

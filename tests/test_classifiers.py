@@ -18,6 +18,8 @@ from subsetharmony.classifiers import (
     MlpModel,
     _forward,
     _knn_vote,
+    _left_operands,
+    _right_operands,
     _sigmoid,
     default_hidden_neurons,
     knn_predict,
@@ -392,6 +394,70 @@ class TestKnnDistanceOrder:
         assert got.tolist() == _python_vote(x, y, n_classes, queries, k, skip_self)
 
 
+# values where a difference is exact or rounds, underflows to a subnormal or
+# overflows to inf, and squares that underflow to 0 or overflow to inf
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 3e-320, 2.2250738585072014e-308, 1e-160,
+                1.0, -1.0, 0.1, 1e300, -1e300, 1.3e300, 1.7e308, -1.7e308)
+
+
+@st.composite
+def _edge_votes(draw):
+    """Rows of edge values and arbitrary finite floats, with one or more queries
+    and training rows, so the plane is a matrix, a row, a column or one value."""
+    n_features = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from(_EDGE_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    row = st.lists(value, min_size=n_features, max_size=n_features)
+    x = np.array(draw(st.lists(row, min_size=1, max_size=8)))
+    n_classes = draw(st.integers(1, 3))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=len(x),
+                               max_size=len(x))))
+    queries = np.array(draw(st.lists(row, min_size=1, max_size=8)))
+    return x, y, n_classes, queries, draw(st.integers(1, len(x)))
+
+
+def _vote_over_stale_buffers(x, y, n_classes, queries, k, skip_self=False):
+    """_knn_vote with buffers large enough for every block here, filled with nan."""
+    stale = {role: np.full(2 * _BLOCK_VALUES, np.nan) for role in ("sum", "plane", "partition")}
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(classifiers, "_VOTE_BUFFERS", stale)
+        return _knn_vote(x, y, n_classes, queries, k, skip_self)
+
+
+class TestKnnPlaneExactness:
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_votes())
+    def test_plane_is_the_squared_subtraction_bit_for_bit(self, case):
+        x, _, _, queries, _ = case
+        left, right = _left_operands(queries), _right_operands(x)
+        for j in range(x.shape[1]):
+            # a nan-filled out shows a product that reads the stale output
+            plane = np.full((len(queries), len(x)), np.nan)
+            with np.errstate(over="ignore"):
+                np.square(np.matmul(left[j], right[j], out=plane), out=plane)
+                want = np.square(np.subtract(queries[:, j, None], x[:, j]))
+            assert np.array_equal(plane.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_votes(), st.booleans())
+    def test_vote_over_stale_buffers_equals_python_reference(self, case, skip_self):
+        x, y, n_classes, queries, k = case
+        if skip_self:
+            queries = x
+        got = _vote_over_stale_buffers(x, y, n_classes, queries, k, skip_self)
+        assert got.tolist() == _python_vote(x, y, n_classes, queries, k, skip_self)
+
+    def test_one_query_row_per_block_over_stale_buffers(self):
+        # a training part past _BLOCK_VALUES rows gives blocks of one query, so
+        # each plane is a (1, 2) @ (2, t) product
+        rng = np.random.default_rng(3)
+        x = rng.choice(np.array(_EDGE_VALUES), size=(_BLOCK_VALUES + 5, 2))
+        y = rng.integers(0, 3, size=len(x))
+        queries = rng.choice(np.array(_EDGE_VALUES), size=(3, 2))
+        got = _vote_over_stale_buffers(x, y, 3, queries, 4)
+        assert got.tolist() == _python_vote(x, y, 3, queries, 4, False)
+
+
 class TestKnnMemory:
     def test_leave_one_out_peak_is_bounded(self, monkeypatch):
         # the kernel holds a few (q, t) planes of _BLOCK_VALUES values, never the
@@ -404,6 +470,22 @@ class TestKnnMemory:
         tracemalloc.start()
         try:
             _knn_vote(x, y, 3, x, 5, skip_self=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_paper_shape_fold_peak_is_bounded(self, monkeypatch):
+        # one fold at the paper shape (f = 65, 680 rows in 3 folds): the (f, 2, t)
+        # training operand grows with f * t, and stays beside the planes
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(453, 65))
+        y = rng.integers(0, 3, size=453)
+        queries = rng.normal(size=(227, 65))
+        monkeypatch.setattr(classifiers, "_VOTE_BUFFERS", {})
+        tracemalloc.start()
+        try:
+            _knn_vote(x, y, 3, queries, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

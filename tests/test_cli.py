@@ -175,6 +175,21 @@ class TestConfigAndEnv:
         assert code == 1
         assert err.startswith("error: hms must be >= 1")
 
+    @pytest.mark.parametrize("command, prefix, matches", [
+        ("select", "--c", "--config, --classifier, --crossover-rate, --c1, --c2"),
+        ("compare", "--co", "--config, --components"),
+    ])
+    def test_ambiguous_config_prefix_is_a_usage_error(self, tmp_path, capsys, tiny8_path,
+                                                      command, prefix, matches):
+        # the prefix also names another option of the subcommand, so it is not taken
+        # for --config, and the malformed file its value names is never read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("not a key-value line\n")
+        code, _, err = _run(capsys, [command, "--data", str(tiny8_path), "--k", "1",
+                                     *FAST, prefix, str(cfg)])
+        assert code == 1
+        assert err.startswith(f"error: ambiguous option: {prefix} could match {matches}\n")
+
     def test_flag_overrides_config(self, tmp_path, tiny8_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("iterations = 25\nseed = 5\n")
