@@ -108,17 +108,16 @@ def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
     sorted index lists with duplicate repair, per-gene mutation, elitism 1.
 
     The initial population and each generation's children are whole lists
-    before any of them is scored, so each is handed to the objective's
-    prefetch (RunLog.prefetch) first: one batch per generation, with the
-    calls, counts and results of scoring them one at a time.
+    before any of them is scored, so each is scored as one batch
+    (RunLog.score): one batch per generation, with the calls, counts and
+    results of scoring them one at a time.
     """
     rng = np.random.default_rng(cfg.seed)
     k, n = cfg.subset_size, cfg.n_features
     log = RunLog(objective)
 
     population = [random_subset(n, k, rng) for _ in range(cfg.population)]
-    log.prefetch(population)
-    fitnesses = [log(s) for s in population]
+    fitnesses = list(log.score(population))
 
     def tournament() -> FeatureSubset:
         i = int(rng.integers(cfg.population))
@@ -145,8 +144,7 @@ def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
                         genes[slot] = int(unused[rng.integers(len(unused))])
             children.append(FeatureSubset(tuple(genes)))
         population = [elite.subset] + children
-        log.prefetch(children)
-        fitnesses = [elite.fitness] + [log(c) for c in children]
+        fitnesses = [elite.fitness, *log.score(children)]
         log.end_iteration(min(fitnesses), log.best is not elite)
     return log.result()
 
@@ -181,14 +179,14 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     per-dimension inclusion probability. gbest is the run's best, updated
     as soon as any particle improves on it.
 
-    The initial swarm is handed to the objective's prefetch (RunLog.prefetch)
-    as one batch, and every sweep is speculative and exact (speculate). A
-    particle's move depends only on the rng state, its own velocity,
-    position and pbest, and gbest, which changes only with the run's best;
-    so the moves of the rest of the sweep are computed against the current
-    gbest and prefetched as one batch, then committed in order up to and
-    including the first that improves gbest. Objective calls, their order
-    and every result are those of moving and scoring one particle at a time.
+    The initial swarm is scored as one batch (RunLog.score), and every sweep
+    is speculative and exact (speculate). A particle's move depends only on
+    the rng state, its own velocity, position and pbest, and gbest, which
+    changes only with the run's best; so the moves of the rest of the sweep
+    are computed against the current gbest and scored as one batch, then
+    committed in order up to and including the first that improves gbest.
+    Objective calls, their order and every result are those of moving and
+    scoring one particle at a time.
     """
     rng = np.random.default_rng(cfg.seed)
     k, n = cfg.subset_size, cfg.n_features
@@ -203,8 +201,7 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
         return FeatureSubset(tuple(int(i) for i in np.flatnonzero(mask)))
 
     pbest_pos = positions.copy()
-    log.prefetch([subset(mask) for mask in positions])
-    pbest_fit = np.array([log(subset(mask)) for mask in positions])
+    pbest_fit = np.array([*log.score([subset(mask) for mask in positions])])
     gbest = log.best
     gbest_pos = pbest_pos[int(np.argmax(pbest_fit))].copy()
     iter_fits = np.empty(cfg.particles)

@@ -13,7 +13,7 @@ entry only on strict fitness improvement.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -23,8 +23,8 @@ from .subsets import FeatureSubset, check_subset_size
 
 PITCH_TOPOLOGIES = ("index", "column")
 
-# candidates hs_run improvises ahead against an unchanged memory and hands to
-# a batching objective's prefetch as one batch
+# candidates hs_run improvises ahead against an unchanged memory and scores
+# as one batch (RunLog.score)
 DEPTH = 4
 
 
@@ -148,18 +148,22 @@ class RunLog:
     """The one record of an optimizer run; HS, GA and PSO score only through it.
 
     Calling the log scores a subset with the objective, counts the call, and
-    keeps the first subset that reaches the highest fitness seen.
+    keeps the first subset that reaches the highest fitness seen. score is
+    the one way a run scores a batch: it hands the list to the objective's
+    prefetch, if any (SubsetObjective.prefetch), then yields the fitnesses
+    in list order, each scored and counted only when read; so a loop that
+    stops at the first accepted state change (speculate) scores no more.
+    A log over a run's log forwards both the batch and the calls to it.
     end_iteration appends one history row: the best fitness so far, the
     iteration's worst fitness, and the optimizer's replaced/improved flag.
-    prefetch hands a batch of subsets the run may score next to an objective
-    that has a prefetch (SubsetObjective); it counts nothing. `batches` is the
-    objective's own flag (SubsetObjective.batches), False for a plain
-    callable: whether a batch scores faster than its members one at a time,
-    and so whether speculate proposes ahead.
+    `batches` is the objective's own flag (SubsetObjective.batches), False
+    for a plain callable: whether a batch scores faster than its members
+    one at a time, and so whether speculate proposes ahead.
     """
 
     def __init__(self, objective) -> None:
         self._objective = objective
+        self.prefetch = getattr(objective, "prefetch", None)
         self.batches = bool(getattr(objective, "batches", False))
         self.calls = 0
         self.best: Harmony | None = None
@@ -172,8 +176,10 @@ class RunLog:
             self.best = Harmony(subset, fitness)
         return fitness
 
-    def prefetch(self, subsets: list[FeatureSubset]) -> None:
-        _prefetch(self._objective, subsets)
+    def score(self, subsets: list[FeatureSubset]) -> Iterator[float]:
+        if self.prefetch is not None:
+            self.prefetch(subsets)
+        return map(self, subsets)
 
     def end_iteration(self, worst: float, flag: bool) -> None:
         self._rows.append((self.best.fitness, worst, flag))
@@ -194,10 +200,10 @@ def speculate(log: RunLog, rng: np.random.Generator, steps: int, depth: int,
     changed the state that later proposals read.
 
     Each round proposes up to depth steps against the unchanged state,
-    saving the rng state before each, and hands their subsets to
-    log.prefetch as one batch. They are then scored and accepted in order up
-    to and including the first that changes the state; the rest are dropped,
-    and the rng goes back to the state saved before the first dropped one.
+    saving the rng state before each, and scores their subsets as one batch
+    (RunLog.score). They are accepted in order up to and including the first
+    that changes the state; the rest are dropped unscored, and the rng goes
+    back to the state saved before the first dropped one.
     Objective calls, their order and every result are those of proposing,
     scoring and accepting one step at a time. Unless log.batches, a batch
     scores no faster than its members and a dropped proposal is wasted work,
@@ -211,9 +217,9 @@ def speculate(log: RunLog, rng: np.random.Generator, steps: int, depth: int,
         for i in range(step, min(step + depth, steps)):
             states.append(rng.bit_generator.state)
             proposals.append(propose(i))
-        log.prefetch([subset for subset, _ in proposals])
-        for j, (subset, move) in enumerate(proposals):
-            changed = accept(step, move, log(subset))
+        fitnesses = log.score([subset for subset, _ in proposals])
+        for j, ((_, move), fitness) in enumerate(zip(proposals, fitnesses)):
+            changed = accept(step, move, fitness)
             step += 1
             if changed:
                 if j + 1 < len(proposals):
@@ -268,10 +274,11 @@ def improvise(memory: HarmonyMemory, cfg: HsConfig, rng: np.random.Generator) ->
     earlier slots are inadmissible) with probability hmcr, else uniformly
     from all unchosen features. Memory draws are pitch-adjusted with
     probability par. An exhausted column (every stored value already
-    chosen) falls back to a random unchosen feature, preferring features
-    that appear somewhere in the memory so that pure memory consideration
-    never invents indices the memory cannot justify. A memory whose subsets
-    do not fit cfg's subset_size or n_features is rejected.
+    chosen) falls back to a random unchosen feature from the memory, so
+    that pure memory consideration never invents indices the memory cannot
+    justify; one is always left, as every row holds subset_size distinct
+    features and fewer are chosen before the last slot. A memory whose
+    subsets do not fit cfg's subset_size or n_features is rejected.
     """
     if memory.subset_size != cfg.subset_size:
         raise ValueError(f"memory holds {memory.subset_size}-feature subsets, "
@@ -297,8 +304,6 @@ def improvise(memory: HarmonyMemory, cfg: HsConfig, rng: np.random.Generator) ->
                     value = pitch_adjust(value, cfg.bandwidth, eps, chosen_set, domain)
             else:
                 pool = sorted(memory.column_union() - chosen_set)
-                if not pool:
-                    pool = [i for i in range(cfg.n_features) if i not in chosen_set]
                 value = int(pool[rng.integers(len(pool))])
         else:
             pool = [i for i in range(cfg.n_features) if i not in chosen_set]
@@ -314,26 +319,19 @@ def random_subset(n_features: int, k: int, rng: np.random.Generator) -> FeatureS
     return FeatureSubset(tuple(int(i) for i in indices))
 
 
-def _prefetch(objective, subsets: list[FeatureSubset]) -> None:
-    """Hand subsets to objective.prefetch, if the objective has one."""
-    prefetch = getattr(objective, "prefetch", None)
-    if prefetch is not None:
-        prefetch(subsets)
-
-
 def initialize_memory(cfg: HsConfig, objective, rng: np.random.Generator | None = None) -> HarmonyMemory:
     """Fill the memory with hms random evaluated subsets.
 
     The draws do not depend on any score, so all hms subsets are drawn
-    first and handed to the objective's prefetch, if it has one, as one
-    batch; they are then scored in draw order. Whole-subset duplicates
+    first and scored in draw order as one batch (RunLog.score), which a
+    run's log passed as the objective receives whole. Whole-subset duplicates
     across rows are allowed; the evaluation cache makes re-scoring them free.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     subsets = [random_subset(cfg.n_features, cfg.subset_size, rng) for _ in range(cfg.hms)]
-    _prefetch(objective, subsets)
-    return HarmonyMemory([Harmony(subset, float(objective(subset))) for subset in subsets])
+    fitnesses = RunLog(objective).score(subsets)
+    return HarmonyMemory([Harmony(s, f) for s, f in zip(subsets, fitnesses)])
 
 
 def replace_worst(memory: HarmonyMemory, candidate: Harmony) -> bool:
@@ -354,7 +352,7 @@ def hs_run(cfg: HsConfig, objective) -> tuple[Harmony, RunHistory]:
     The search is speculative and exact (speculate). A candidate depends
     only on the rng state and the memory, and the memory changes only on
     replacement, so up to DEPTH candidates are improvised against the
-    unchanged memory and handed to the objective's prefetch as one batch.
+    unchanged memory and scored as one batch (RunLog.score).
     Objective calls, their order and every result are those of improvising,
     scoring and replacing one candidate at a time.
     """

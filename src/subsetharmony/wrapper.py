@@ -233,8 +233,9 @@ class SubsetObjective:
     wait in `pending` and count only once evaluate asks for them, so every
     count and result is the one scoring on demand gives. `batches` says
     whether prefetch does anything, which is what the optimizers read
-    before they propose candidates ahead. The first miss
-    builds the dataset's fold plan (fold_plan); reset_cache keeps it.
+    before they propose candidates ahead. The first miss builds the
+    dataset's fold plan (fold_plan); reset_cache keeps it. A miss whose
+    training diverges raises TrainingDivergedError naming the subset.
     """
 
     def __init__(self, dataset: Dataset, config: ObjectiveConfig) -> None:
@@ -253,7 +254,10 @@ class SubsetObjective:
         if result is None:
             result = self.pending.pop(subset.key, None)
             if result is None:
-                result = self._score(subset)
+                try:
+                    result = self._score(subset)
+                except TrainingDivergedError as err:
+                    raise TrainingDivergedError(f"subset {subset.key}: {err}") from err
             self.cache[subset.key] = result
         return result
 

@@ -204,6 +204,12 @@ class TestPrediction:
 
 
 class TestKnn:
+    def test_feature_mismatch_rejected(self):
+        train = Dataset(np.zeros((2, 3)), np.array([0, 1]), ("f", "g", "h"), ("a", "b"))
+        test = Dataset(np.zeros((1, 2)), np.array([0]), ("f", "g"), ("a", "b"))
+        with pytest.raises(ValueError, match="^train has 3 features, queries have 2$"):
+            knn_predict(train, KnnConfig(), test)
+
     def test_distance_tie_prefers_lower_train_index(self):
         train = Dataset(np.array([[0.0], [2.0]]), np.array([0, 1]), ("f",), ("a", "b"))
         test = Dataset(np.array([[1.0]]), np.array([0]), ("f",), ("a", "b"))

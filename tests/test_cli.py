@@ -426,6 +426,19 @@ class TestErrorExitCodes:
         assert code == 3
         assert "RuntimeError" in err
 
+    def test_diverged_training_names_its_subset(self, capsys, tiny8_path):
+        diverging = ["--data", str(tiny8_path), "--epochs", "5", "--learning-rate", "1e12",
+                     "--momentum", "0.9"]
+        code, _, err = _run(capsys, ["eval", *diverging, "--features", "1,0"])
+        assert code == 3
+        assert err == ("runtime error: TrainingDivergedError: subset (0, 1): "
+                       "training loss became non-finite at epoch 0\n")
+        code, _, err = _run(capsys, ["select", *diverging, "--k", "2", "--hms", "3",
+                                     "--iterations", "3"])
+        assert code == 3
+        assert re.fullmatch(r"runtime error: TrainingDivergedError: subset \(\d+, \d+\): "
+                            r"training loss became non-finite at epoch \d+\n", err)
+
 
 class TestDeterminism:
     def test_select_stdout_repeats(self, capsys, tiny8_path):

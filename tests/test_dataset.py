@@ -51,6 +51,10 @@ class TestDatasetType:
             Dataset(np.ones((2, 2)), np.array([0]), ("a", "b"), ("x",))
         with pytest.raises(DatasetError):
             Dataset(np.ones((2, 2)), np.array([0, 0]), ("a",), ("x",))
+        with pytest.raises(DatasetError, match=r"features must be 2-D, got shape \(2,\)"):
+            Dataset(np.ones(2), np.array([0, 0]), ("a",), ("x",))
+        with pytest.raises(DatasetError, match=r">=1 samples and features, got \(0, 1\)"):
+            Dataset(np.ones((0, 1)), np.array([], dtype=int), ("a",), ("x",))
 
 
 class TestLoadCsv:
@@ -114,6 +118,9 @@ class TestLoadCsv:
         p = _simple_csv(tmp_path, 'f,cls\n"1.0",a\n')
         with pytest.raises(DatasetError, match="quoted"):
             sh.load_csv(p, "cls")
+        p = _simple_csv(tmp_path, 'f,"cls"\n1.0,a\n')
+        with pytest.raises(DatasetError, match="quoted fields are not supported"):
+            sh.load_csv(p, "cls")
 
     def test_ragged_row_names_row_number(self, tmp_path):
         p = _simple_csv(tmp_path, "f,g,cls\n1,2,a\n1,a\n")
@@ -143,6 +150,9 @@ class TestLoadCsv:
     def test_no_data_rows(self, tmp_path):
         p = _simple_csv(tmp_path, "f,cls\n")
         with pytest.raises(DatasetError, match="no data rows"):
+            sh.load_csv(p, "cls")
+        p = _simple_csv(tmp_path, "")
+        with pytest.raises(DatasetError, match="d.csv: empty file$"):
             sh.load_csv(p, "cls")
 
     def test_missing_file(self, tmp_path):

@@ -516,6 +516,32 @@ class TestSpeculativePso:
         assert speculative.batch_sizes[:2] == [particles, particles]
 
 
+class TestBatchedGa:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), population=st.integers(2, 6),
+           generations=st.integers(1, 6), subset_size=st.integers(1, 3))
+    def test_equals_unbatched_run(self, seed, population, generations, subset_size):
+        cfg = GaConfig(n_features=6, subset_size=subset_size, population=population,
+                       generations=generations, seed=seed)
+        obj_cfg = ObjectiveConfig(mlp=MlpConfig(epochs=1, seed=seed), folds=2)
+        batched = _Spy(SubsetObjective(_SPECULATION_DATA, obj_cfg))
+        plain_objective = SubsetObjective(_SPECULATION_DATA, obj_cfg)
+        asked = []
+
+        def plain(subset: FeatureSubset) -> float:
+            # no prefetch and no batches: every member is scored on its own
+            asked.append(subset.indices)
+            return plain_objective(subset)
+
+        assert ga_run(cfg, batched) == ga_run(cfg, plain)
+        assert batched.asked == asked
+        assert (batched.objective.calls, batched.objective.unique_evaluations) == (
+            plain_objective.calls, plain_objective.unique_evaluations)
+        assert batched.objective.cache == plain_objective.cache
+        # the first population, then each generation's children, as one batch each
+        assert batched.batch_sizes == [population] + [population - 1] * generations
+
+
 class TestDepthOne:
     """An objective that does not batch gets no proposal it will not score."""
 

@@ -82,6 +82,8 @@ class TestReportTypes:
             FractionSweepReport((50.0,), (1, 2), (90.0,))
         with pytest.raises(ValueError):
             FractionSweepReport((), (), ())
+        with pytest.raises(ValueError, match="subset sizes must be >= 1"):
+            FractionSweepReport((10.0, 50.0), (0, 2), (90.0, 91.0))
 
     @pytest.mark.parametrize("accuracies, best", [
         ((50.0, 70.0, 70.0), 1),   # a tie goes to the earlier fraction
@@ -188,6 +190,11 @@ class TestCompareOptimizers:
         # cache holds only what the last optimizer evaluated
         assert obj.unique_evaluations <= 5 + 10
         assert obj.calls == 5 + 10
+
+    def test_unknown_config_rejected(self, tiny8):
+        obj = SubsetObjective(tiny8, ObjectiveConfig(classifier="knn"))
+        with pytest.raises(TypeError, match="^unsupported optimizer config: ObjectiveConfig$"):
+            harness.run_optimizer(ObjectiveConfig(), obj)
 
     def test_empty_configs_rejected(self, tiny8):
         obj = SubsetObjective(tiny8, ObjectiveConfig(classifier="knn"))

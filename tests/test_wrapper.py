@@ -10,6 +10,7 @@ from subsetharmony import (
     Dataset,
     EvaluationResult,
     FeatureSubset,
+    GaConfig,
     HsConfig,
     KnnConfig,
     LeaveOneOutObjective,
@@ -21,6 +22,7 @@ from subsetharmony import (
     accuracy,
     confidence_interval,
     evaluate_subset,
+    ga_run,
     hs_run,
     loo_knn_accuracy,
     pso_run,
@@ -184,6 +186,16 @@ class TestSubsetObjective:
         obj = SubsetObjective(blobs, cfg)
         assert obj(FeatureSubset((0, 1, 2, 3))) == 100.0
 
+    def test_diverged_miss_names_its_subset(self):
+        obj = SubsetObjective(_divergent(), _divergent_config())
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
+            obj(FeatureSubset((2, 0)))
+        # the sorted key, then the trainer's own message, which stays chained
+        assert str(err.value) == "subset (0, 2): training loss became non-finite at epoch 22"
+        assert isinstance(err.value.__cause__, TrainingDivergedError)
+        assert str(err.value.__cause__) == "training loss became non-finite at epoch 22"
+        assert (obj.calls, obj.cache, obj.pending) == (1, {}, {})
+
     def test_classifier_name_validated(self):
         with pytest.raises(ValueError):
             ObjectiveConfig(classifier="svm")
@@ -279,6 +291,10 @@ class TestPrefetch:
         pso = PsoConfig(n_features=3, subset_size=1, particles=3, iterations=4, seed=2)
         self._check_injected_divergence(pso_run, pso)
 
+    def test_diverging_member_in_every_generation_changes_nothing(self):
+        ga = GaConfig(3, 1, population=3, generations=4, seed=2)
+        self._check_injected_divergence(ga_run, ga)
+
     @staticmethod
     def _check_injected_divergence(run, search):
         d, cfg = _divergent(), _divergent_config()
@@ -304,7 +320,8 @@ class TestPrefetch:
                 evaluate_subset(d, bad, cfg)
             with pytest.raises(TrainingDivergedError) as asked:
                 injected.evaluate(bad)
-        assert str(asked.value) == str(alone.value) == "training loss became non-finite at epoch 22"
+        assert str(alone.value) == "training loss became non-finite at epoch 22"
+        assert str(asked.value) == "subset (0, 2): " + str(alone.value)
 
 
 class TestFoldPlan:
