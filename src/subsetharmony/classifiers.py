@@ -12,6 +12,7 @@ as a fast objective in tests and desk-scale experiments.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -224,37 +225,58 @@ def default_hidden_neurons(n_features: int, n_classes: int) -> int:
     return math.ceil((n_features + n_classes) / 2)
 
 
+# a lockstep pass holds as many networks as keep its weight, momentum and
+# gradient arrays (3 x 8 bytes per parameter) under this many bytes (1 MiB,
+# which stays in L2); a network alone always gets a pass
+_BATCH_BYTES = 1 << 20
+
+
 def mlp_train_many(trains: Sequence[Dataset], cfg: MlpConfig) -> list[MlpModel]:
-    """Train one network per dataset, all in lockstep; deterministic given cfg.seed.
+    """Train one network per dataset, in lockstep passes; deterministic given cfg.seed.
 
-    Each network is bit for bit the one mlp_train gives on its dataset alone:
-    it draws its initial weights and then one shuffle per epoch from its own
-    default_rng(cfg.seed) stream, and takes one online step per row. Weights,
-    momentum and gradients are each one flat layer-major array
-    ([w1 of all networks | b1 of all | w2 | b2]), so every layer is one
-    contiguous (B, rows, cols) block and each numpy call steps all networks.
-    A network with fewer rows sits out the last steps of each epoch, its
-    weights and momentum untouched.
+    The datasets are grouped by feature and class count, in list order, and
+    each group is cut in order into passes of as many networks as fit
+    _BATCH_BYTES. Each network is bit for bit the one mlp_train gives on its
+    dataset alone: it draws its initial weights and then one shuffle per epoch
+    from its own default_rng(cfg.seed) stream, and takes one online step per
+    row. Within a pass, weights, momentum and gradients are each one flat
+    layer-major array ([w1 of all networks | b1 of all | w2 | b2]), so every
+    layer is one contiguous (B, rows, cols) block and each numpy call steps
+    all networks. A network with fewer rows sits out the last steps of each
+    epoch, its weights and momentum untouched.
 
-    Raises ValueError on an empty list, and TrainingDivergedError naming the
-    earliest epoch at which any network's epoch loss stops being finite.
+    Raises ValueError on an empty list or a dataset of fewer than 2 classes,
+    and TrainingDivergedError naming the earliest epoch at which any network
+    of the first diverging pass has an epoch loss that stops being finite.
     """
     if not trains:
         raise ValueError("mlp_train_many needs at least one dataset to train on")
-    n_features, n_classes = trains[0].n_features, trains[0].n_classes
-    if n_classes < 2:
-        raise ValueError(f"need >= 2 classes to train, got {n_classes}")
-    if any(t.n_features != n_features or t.n_classes != n_classes for t in trains):
-        raise ValueError("networks trained in lockstep need equal feature and class counts")
-    dims = (n_features, cfg.hidden_neurons or default_hidden_neurons(n_features, n_classes),
-            n_classes)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, train in enumerate(trains):
+        if train.n_classes < 2:
+            raise ValueError(f"need >= 2 classes to train, got {train.n_classes}")
+        groups.setdefault((train.n_features, train.n_classes), []).append(i)
+    models: list = [None] * len(trains)
+    for (f, c), group in groups.items():
+        h = cfg.hidden_neurons or default_hidden_neurons(f, c)
+        size = max(1, _BATCH_BYTES // (3 * 8 * ((f + 1) * h + (h + 1) * c)))
+        for start in range(0, len(group), size):
+            batch = group[start:start + size]
+            for i, model in zip(batch, _train_pass([trains[i] for i in batch], cfg, (f, h, c))):
+                models[i] = model
+    return models
+
+
+def _train_pass(trains: list[Dataset], cfg: MlpConfig,
+                dims: tuple[int, int, int]) -> list[MlpModel]:
+    """One lockstep pass of mlp_train_many over networks of one shape, dims = (f, h, c)."""
+    f, h, c = dims
     n = len(trains)
     # longest first, so the networks still stepping at any step are a prefix
     order = sorted(range(n), key=lambda b: -trains[b].n_samples)
     sizes = [trains[b].n_samples for b in order]
     # one generator per network: weight init first, epoch shuffles continue the stream
     rngs = [np.random.default_rng(cfg.seed) for _ in order]
-    f, h, c = dims
     w = np.empty(n * (f * h + h + h * c + c))
     init = _layers(w, n, n, dims)
     for slot, rng in enumerate(rngs):
@@ -268,11 +290,11 @@ def mlp_train_many(trains: Sequence[Dataset], cfg: MlpConfig) -> list[MlpModel]:
 
     # one epoch's shuffled rows, labels, one-hot targets and softmax outputs,
     # indexed (step, network, ...), and each step's views of them, made once
-    x = np.zeros((sizes[0], n, 1, n_features))
+    x = np.zeros((sizes[0], n, 1, f))
     labels = np.zeros((sizes[0], n), dtype=np.int64)
-    one_hot = np.eye(n_classes)
-    target = np.empty((sizes[0], n, 1, n_classes))
-    probs = np.ones((sizes[0], n, 1, n_classes))
+    one_hot = np.eye(c)
+    target = np.empty((sizes[0], n, 1, c))
+    probs = np.ones((sizes[0], n, 1, c))
     steps = [(heads[k], x[t, :k], x[t, :k].swapaxes(1, 2), target[t, :k], probs[t, :k])
              for t, k in enumerate(live)]
     lr, momentum = np.array(cfg.learning_rate), np.array(cfg.momentum)
@@ -301,9 +323,7 @@ def mlp_train(train: Dataset, cfg: MlpConfig) -> MlpModel:
     """Train by online backprop with momentum; deterministic given cfg.seed.
 
     The one-network case of mlp_train_many. Raises TrainingDivergedError
-    naming the epoch if the epoch loss stops being finite; when
-    mlp_train_many trains several networks, the error names the earliest
-    epoch at which any of them diverges.
+    naming the epoch if the epoch loss stops being finite.
     """
     return mlp_train_many([train], cfg)[0]
 
@@ -347,17 +367,18 @@ def mlp_loss(model: MlpModel, sample: np.ndarray, label: int) -> float:
 # of queries
 _BLOCK_VALUES = 1 << 15
 
-# the vote's distance sum, plane and partition copy, reused by every call and
-# grown on demand to the largest block seen (_BLOCK_VALUES values, or one
-# query row when the training set is larger)
-_VOTE_BUFFERS: dict[str, np.ndarray] = {}
+# the vote's distance sum, plane and partition copy, one set per thread,
+# reused by every call on that thread and grown on demand to the largest block
+# seen (_BLOCK_VALUES values, or one query row when the training set is larger)
+_VOTE_BUFFERS = threading.local()
 
 
 def _vote_buffer(role: str, q: int, t: int) -> np.ndarray:
-    """A (q, t) view of the vote's reused buffer for role; its contents are stale."""
-    buf = _VOTE_BUFFERS.get(role)
+    """A (q, t) view of this thread's reused buffer for role; its contents are stale."""
+    buf = getattr(_VOTE_BUFFERS, role, None)
     if buf is None or buf.size < q * t:
-        buf = _VOTE_BUFFERS[role] = np.empty(q * t)
+        buf = np.empty(q * t)
+        setattr(_VOTE_BUFFERS, role, buf)
     return buf[:q * t].reshape(q, t)
 
 
@@ -398,9 +419,9 @@ def _knn_vote(train_x: np.ndarray, train_y: np.ndarray, n_classes: int,
     leave-one-out: queries are the training rows themselves, and query i
     never counts training row i among its neighbours.
 
-    The blocks' (q, t) arrays live in module-level buffers reused across
-    calls, so their pages are not faulted in afresh; this makes the vote
-    non-reentrant, which the package, running one thread, never needs.
+    The blocks' (q, t) arrays live in per-thread buffers reused across
+    calls, so their pages are not faulted in afresh; votes on different
+    threads never share them.
     """
     n_queries = queries.shape[0]
     n_train = train_x.shape[0]

@@ -271,7 +271,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse flags, SUBSETHARMONY_SEED and --config into one namespace.
 
     For report commands the namespace's `output` gets its format-dependent
-    default. No config is built here: main builds them after reading the data.
+    default, and an output path that is a directory or lies in a missing
+    directory is a UsageError. No config is built here: main builds them after
+    reading the data.
     """
     parser = _build_parser()
     if not argv or argv[0] in ("-h", "--help"):
@@ -291,6 +293,13 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         raise UsageError(f"dataset file not found: {ns.data}")
     if getattr(ns, "output", "") is None:
         ns.output = f"{command}_report.{'csv' if ns.format == 'csv' else 'md'}"
+    # a report that cannot be written is refused before the search, not after it
+    output = getattr(ns, "output", None)
+    if output is not None:
+        if os.path.isdir(output):
+            raise UsageError(f"--output is a directory: {output}")
+        if not os.path.isdir(os.path.dirname(output) or "."):
+            raise UsageError(f"--output directory not found: {os.path.dirname(output)}")
     return ns
 
 

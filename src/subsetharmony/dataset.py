@@ -98,6 +98,9 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
         raise DatasetError(f"{path}: quoted fields are not supported")
     if label_column not in header:
         raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
+    if header.count(label_column) > 1:
+        raise DatasetError(f"{path}: label column {label_column!r} appears more than once "
+                           f"in header {header}")
     label_idx = header.index(label_column)
     feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
     if not feature_names:

@@ -23,10 +23,8 @@ import numpy as np
 from .classifiers import (
     KnnConfig,
     MlpConfig,
-    MlpModel,
     TrainingDivergedError,
     _knn_vote,
-    default_hidden_neurons,
     knn_predict,
     mlp_predict,
     mlp_train_many,
@@ -138,11 +136,6 @@ def fold_plan(d: Dataset, cfg: ObjectiveConfig) -> FoldPairs:
 
 Transform = Callable[[Dataset, Dataset], tuple[Dataset, Dataset]]
 
-# a lockstep batch holds as many whole members as keep its weight, momentum
-# and gradient arrays (B * P values each, P per network) under about this many
-# bytes (1 MiB, which stays in L2); one member alone is never split
-_BATCH_BYTES = 1 << 20
-
 
 def cross_validate(
     d: Dataset,
@@ -154,16 +147,18 @@ def cross_validate(
     Each member scores the folds of fold_plan(d, cfg), each first passed
     through its `transform(train, test)` unless that is None; a transform
     fitted on the training part only keeps the test part unseen. The MLP
-    folds of all members train in lockstep (mlp_train_many), in batches
-    capped by _BATCH_BYTES, each to the bits it would reach alone; a batch
-    whose training diverges raises TrainingDivergedError and scores nothing.
+    folds of all members train through one mlp_train_many call, each to the
+    bits it would reach alone; if any training diverges, it raises
+    TrainingDivergedError and scores nothing.
     """
     plan = fold_plan(d, cfg)
     members = [plan if transform is None else [transform(train, test) for train, test in plan]
                for transform in transforms]
     if cfg.classifier == "mlp":
-        predictions = [[mlp_predict(model, test) for model, (_, test) in zip(models, pairs)]
-                       for models, pairs in zip(_train_members(members, cfg), members)]
+        models = iter(mlp_train_many([train for pairs in members for train, _ in pairs],
+                                     cfg.mlp))
+        predictions = [[mlp_predict(next(models), test) for _, test in pairs]
+                       for pairs in members]
     else:
         predictions = [[knn_predict(train, cfg.knn, test) for train, test in pairs]
                        for pairs in members]
@@ -171,31 +166,6 @@ def cross_validate(
                      for predicted, (_, test) in zip(member_predictions, pairs)],
                     [test.n_samples for _, test in pairs], cfg.fold_average)
             for member_predictions, pairs in zip(predictions, members)]
-
-
-def _train_members(members: list, cfg: ObjectiveConfig) -> list[list[MlpModel]]:
-    """One trained MLP per fold of every member, in lockstep batches of whole members.
-
-    Members are grouped by feature count, as mlp_train_many needs, and each
-    group is cut in order into batches of as many members as fit _BATCH_BYTES.
-    All batches train before any result is returned.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, pairs in enumerate(members):
-        groups.setdefault(pairs[0][0].n_features, []).append(i)
-    models: list = [None] * len(members)
-    for f, group in groups.items():
-        c = members[group[0]][0][0].n_classes
-        h = cfg.mlp.hidden_neurons or default_hidden_neurons(f, c)
-        member_bytes = 3 * 8 * ((f + 1) * h + (h + 1) * c) * cfg.folds
-        size = max(1, _BATCH_BYTES // member_bytes)
-        for start in range(0, len(group), size):
-            batch = group[start:start + size]
-            trained = iter(mlp_train_many([train for i in batch for train, _ in members[i]],
-                                          cfg.mlp))
-            for i in batch:
-                models[i] = [next(trained) for _ in members[i]]
-    return models
 
 
 def _result(correct: list[int], total: list[int], fold_average: bool) -> EvaluationResult:

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -424,7 +425,9 @@ def _edge_votes(draw):
 
 def _vote_over_stale_buffers(x, y, n_classes, queries, k, skip_self=False):
     """_knn_vote with buffers large enough for every block here, filled with nan."""
-    stale = {role: np.full(2 * _BLOCK_VALUES, np.nan) for role in ("sum", "plane", "partition")}
+    stale = threading.local()
+    for role in ("sum", "plane", "partition"):
+        setattr(stale, role, np.full(2 * _BLOCK_VALUES, np.nan))
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
         mp.setattr(classifiers, "_VOTE_BUFFERS", stale)
         return _knn_vote(x, y, n_classes, queries, k, skip_self)
@@ -472,7 +475,7 @@ class TestKnnMemory:
         x = rng.normal(size=(1020, 48))
         y = rng.integers(0, 3, size=1020)
         # fresh buffers, so the vote grows them inside the measurement
-        monkeypatch.setattr(classifiers, "_VOTE_BUFFERS", {})
+        monkeypatch.setattr(classifiers, "_VOTE_BUFFERS", threading.local())
         tracemalloc.start()
         try:
             _knn_vote(x, y, 3, x, 5, skip_self=True)
@@ -488,7 +491,7 @@ class TestKnnMemory:
         x = rng.normal(size=(453, 65))
         y = rng.integers(0, 3, size=453)
         queries = rng.normal(size=(227, 65))
-        monkeypatch.setattr(classifiers, "_VOTE_BUFFERS", {})
+        monkeypatch.setattr(classifiers, "_VOTE_BUFFERS", threading.local())
         tracemalloc.start()
         try:
             _knn_vote(x, y, 3, queries, 5)
@@ -496,6 +499,33 @@ class TestKnnMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+class TestKnnThreads:
+    def test_concurrent_votes_equal_serial_votes(self):
+        # numpy releases the GIL in matmul and partition, so votes on shared
+        # buffers would overwrite each other's distances mid-call
+        rng = np.random.default_rng(7)
+        cases = [(rng.normal(size=(200, 30)), rng.integers(0, 3, size=200),
+                  rng.normal(size=(100, 30))) for _ in range(4)]
+        serial = [_knn_vote(x, y, 3, queries, 5) for x, y, queries in cases]
+        start = threading.Barrier(len(cases))
+        got: list[list[np.ndarray]] = [[] for _ in cases]
+
+        def vote(i):
+            x, y, queries = cases[i]
+            start.wait()
+            got[i].extend(_knn_vote(x, y, 3, queries, 5) for _ in range(20))
+
+        threads = [threading.Thread(target=vote, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for want, votes in zip(serial, got):
+            assert len(votes) == 20
+            for v in votes:
+                assert np.array_equal(v, want)
 
 
 def _piecewise_sigmoid(z):
@@ -531,6 +561,19 @@ def _sequential_train(train: Dataset, cfg: MlpConfig) -> MlpModel:
     return MlpModel(*w)
 
 
+def _spy_passes(monkeypatch) -> list[list[Dataset]]:
+    """Record the training sets of each lockstep pass mlp_train_many runs."""
+    passes = []
+    real = classifiers._train_pass
+
+    def spy(trains, *args):
+        passes.append(list(trains))
+        return real(trains, *args)
+
+    monkeypatch.setattr(classifiers, "_train_pass", spy)
+    return passes
+
+
 def _assert_same_bits(a: MlpModel, b: MlpModel) -> None:
     for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -559,20 +602,32 @@ class TestLockstep:
                 _assert_same_bits(model, alone[trains.index(t)])
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.integers(1, 8), min_size=1, max_size=6),
-           f=st.integers(1, 4), c=st.integers(2, 4), hidden=st.integers(1, 5),
-           epochs=st.integers(1, 3), lr=st.floats(0.0, 1.0), momentum=st.floats(0.0, 0.95),
-           seed=st.integers(0, 2**16))
-    def test_ragged_batch_equals_sequential_members(self, rows, f, c, hidden, epochs, lr,
-                                                    momentum, seed):
-        # members of different row counts sit out the tail steps of each epoch
+    @given(members=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 4), st.integers(2, 4)),
+                            min_size=1, max_size=8),
+           hidden=st.integers(1, 5), epochs=st.integers(1, 3), lr=st.floats(0.0, 1.0),
+           momentum=st.floats(0.0, 0.95), seed=st.integers(0, 2**16),
+           budget=st.integers(0, 3000))
+    def test_ragged_batch_equals_sequential_members(self, members, hidden, epochs, lr,
+                                                    momentum, seed, budget):
+        # members of mixed row, feature and class counts; a byte cap of 0 to 3000
+        # holds 0 to 20 networks of 6 to 49 parameters, so groups split across
+        # passes, and in each pass members with fewer rows sit out the tail steps
         rng = np.random.default_rng(seed)
         trains = [Dataset(rng.normal(size=(n, f)), rng.integers(0, c, size=n),
                           tuple(f"f{j}" for j in range(f)), tuple(f"c{j}" for j in range(c)))
-                  for n in rows]
+                  for n, f, c in members]
         cfg = MlpConfig(hidden_neurons=hidden, learning_rate=lr, momentum=momentum,
                         epochs=epochs, seed=seed)
-        for model, train in zip(mlp_train_many(trains, cfg), trains):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifiers, "_BATCH_BYTES", budget)
+            passes = _spy_passes(mp)
+            models = mlp_train_many(trains, cfg)
+        assert sorted(id(t) for batch in passes for t in batch) == sorted(map(id, trains))
+        for batch in passes:
+            f, c = batch[0].n_features, batch[0].n_classes
+            assert {(t.n_features, t.n_classes) for t in batch} == {(f, c)}
+            assert len(batch) <= max(1, budget // (24 * ((f + 1) * hidden + (hidden + 1) * c)))
+        for model, train in zip(models, trains):
             _assert_same_bits(model, _sequential_train(train, cfg))
 
     def test_cross_validate_equals_sequential_folds(self):
@@ -613,11 +668,30 @@ class TestLockstep:
         with pytest.raises(ValueError, match="at least one dataset"):
             mlp_train_many([], MlpConfig(epochs=1))
 
-    def test_mixed_shapes_rejected(self):
+    def test_mixed_shapes_train_in_passes_of_one_shape(self, monkeypatch):
         d = _xor()
         wider = Dataset(np.ones((4, 3)), d.labels, ("a", "b", "c"), d.class_names)
-        with pytest.raises(ValueError, match="equal feature and class counts"):
-            mlp_train_many([d, wider], MlpConfig(epochs=1))
+        three = Dataset(np.ones((4, 2)), np.arange(4) % 3, d.feature_names, ("x", "y", "z"))
+        cfg = MlpConfig(hidden_neurons=2, epochs=3, seed=2)
+        trains = [d, wider, three, d, wider, d]
+        passes = _spy_passes(monkeypatch)
+        models = mlp_train_many(trains, cfg)
+        # groups by (features, classes) in list order, each one pass under 1 MiB
+        assert passes == [[d, d, d], [wider, wider], [three]]
+        for model, train in zip(models, trains):
+            _assert_same_bits(model, mlp_train(train, cfg))
+        # a cap of two xor networks (12 parameters each) cuts that group in list
+        # order; the larger networks fit one to a pass
+        passes.clear()
+        monkeypatch.setattr(classifiers, "_BATCH_BYTES", 2 * 24 * 12)
+        mlp_train_many(trains, cfg)
+        assert passes == [[d, d], [d], [wider], [wider], [three]]
+
+    def test_one_class_rejected(self):
+        d = _xor()
+        single = Dataset(d.features, np.zeros(4, dtype=np.int64), d.feature_names, ("only",))
+        with pytest.raises(ValueError, match="need >= 2 classes"):
+            mlp_train_many([d, single], MlpConfig(epochs=1))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),

@@ -112,6 +112,21 @@ class TestUsageErrors:
         assert code == 1
         assert "not found" in err
 
+    @pytest.mark.parametrize("command", ["grid", "compare"])
+    def test_unwritable_output_is_refused_before_the_search(self, capsys, tmp_path,
+                                                            tiny8_path, monkeypatch, command):
+        def never(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "sweep_grid", never)
+        monkeypatch.setattr(cli, "compare_optimizers", never)
+        for output, message in ((tmp_path / "no" / "such" / "r.csv", "directory not found"),
+                                (tmp_path, "is a directory")):
+            code, _, err = _run(capsys, [command, "--data", str(tiny8_path), "--k", "2",
+                                         "--classifier", "knn", "--output", str(output)])
+            assert code == 1
+            assert err.startswith("error: --output ") and message in err
+
     def test_k_exceeding_features_is_usage_error(self, capsys, tiny8_path):
         code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
                                      "--k", "99", *FAST])

@@ -142,6 +142,13 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="label column"):
             sh.load_csv(p, "g2")
 
+    def test_repeated_label_column(self, tmp_path):
+        # load_csv would read the second 'label' as a feature, which write_csv
+        # then refuses to write back
+        p = _simple_csv(tmp_path, "label,x,label\na,1,b\n")
+        with pytest.raises(DatasetError, match="label column 'label' appears more than once"):
+            sh.load_csv(p, "label")
+
     def test_no_feature_columns(self, tmp_path):
         p = _simple_csv(tmp_path, "cls\na\n")
         with pytest.raises(DatasetError, match="no feature columns"):

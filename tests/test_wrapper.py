@@ -20,6 +20,7 @@ from subsetharmony import (
     SubsetObjective,
     TrainingDivergedError,
     accuracy,
+    classifiers,
     confidence_interval,
     evaluate_subset,
     ga_run,
@@ -241,18 +242,19 @@ class TestPrefetch:
         d = blob_dataset(n_per_class=10, n_features=4, n_classes=3, seed=1)
         cfg = _mlp_config()
         alone = [evaluate_subset(d, FeatureSubset(s), cfg) for s in self.SUBSETS]
-        batches = _counting(monkeypatch, wrapper, "mlp_train_many")
+        batches = _counting(monkeypatch, classifiers, "_train_pass")
         obj = SubsetObjective(d, cfg)
         obj.prefetch([FeatureSubset(s) for s in self.SUBSETS])
-        # one lockstep call per feature count, three folds per member;
+        # one lockstep pass per feature count, three folds per member;
         # (1, 2, 3) and (3, 1, 2) are one member
         assert sorted(len(trains) for trains in batches) == [3, 6, 9]
         assert [obj.evaluate(FeatureSubset(s)) for s in self.SUBSETS] == alone
-        # a byte cap of two two-feature members splits that group into 2 + 1
-        # (three one-feature members still fit under it)
+        # a byte cap of two two-feature members (six networks) splits that
+        # group into 6 + 3 (six one-feature networks still fit under it)
         batches.clear()
         f, h, c = 2, 3, 3
-        monkeypatch.setattr(wrapper, "_BATCH_BYTES", 2 * 3 * 24 * ((f + 1) * h + (h + 1) * c))
+        monkeypatch.setattr(classifiers, "_BATCH_BYTES",
+                            2 * 3 * 24 * ((f + 1) * h + (h + 1) * c))
         obj = SubsetObjective(d, cfg)
         obj.prefetch([FeatureSubset(s) for s in self.SUBSETS])
         assert sorted(len(trains) for trains in batches) == [3, 3, 6, 6]
