@@ -322,26 +322,32 @@ class PcaSweepResult:
     evaluated: tuple[tuple[int, float], ...]
 
 
+def pca_candidates(cfg: PcaConfig, objective: SubsetObjective) -> list[int]:
+    """The component counts pca_run scores against the objective.
+
+    The feasible maximum is the smaller of the feature count and the
+    smallest training fold of the objective's fold plan. With
+    components=None every count up to it is a candidate; a larger
+    cfg.components is a ValueError.
+    """
+    d = objective.dataset
+    max_r = min(d.n_features, min(train.n_samples for train, _ in fold_plan(d, objective.config)))
+    if cfg.components is None:
+        return list(range(1, max_r + 1))
+    if cfg.components > max_r:
+        raise ValueError(f"components={cfg.components} exceeds feasible maximum {max_r}")
+    return [cfg.components]
+
+
 def pca_run(cfg: PcaConfig, objective: SubsetObjective) -> PcaSweepResult:
     """Score the PCA baseline against the objective's dataset and folds.
 
-    With components=None every feasible dimensionality is tried and the
-    best accuracy wins (ties to the smaller count).
+    Every candidate count (pca_candidates) is tried and the best accuracy
+    wins (ties to the smaller count).
     """
-    d = objective.dataset
-    obj_cfg = objective.config
-    max_r = min(d.n_features, min(train.n_samples for train, _ in fold_plan(d, obj_cfg)))
-    if cfg.components is not None:
-        if cfg.components > max_r:
-            raise ValueError(
-                f"components={cfg.components} exceeds feasible maximum {max_r}"
-            )
-        candidates = [cfg.components]
-    else:
-        candidates = list(range(1, max_r + 1))
     evaluated = []
-    for r in candidates:
-        result = evaluate_components(d, r, obj_cfg)
+    for r in pca_candidates(cfg, objective):
+        result = evaluate_components(objective.dataset, r, objective.config)
         evaluated.append((r, result.accuracy_percent))
     best_r, best_acc = max(evaluated, key=lambda pair: (pair[1], -pair[0]))
     return PcaSweepResult(

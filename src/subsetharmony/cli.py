@@ -20,7 +20,7 @@ import sys
 from .baselines import GaConfig, PcaConfig, PsoConfig
 from .classifiers import KnnConfig, MlpConfig
 from .dataset import Dataset, DatasetError, load_csv
-from .harmony import PITCH_TOPOLOGIES, HsConfig
+from .harmony import HsConfig
 from .harness import (
     DEFAULT_FRACTIONS,
     OPTIMIZERS,
@@ -65,8 +65,6 @@ _FLAGS = (
     ("par", HsConfig, "par", "pitch adjusting rate", {}),
     ("bandwidth", HsConfig, "bandwidth", "pitch bandwidth", {}),
     ("iterations", HsConfig, "max_iterations", "HS improvisations", {}),
-    ("pitch-topology", HsConfig, "pitch_topology", "neighbor line for pitch adjustment",
-     {"choices": PITCH_TOPOLOGIES}),
     ("population", GaConfig, "population", "GA chromosomes", {}),
     ("generations", GaConfig, "generations", "GA generations", {}),
     ("crossover-rate", GaConfig, "crossover_rate", "GA crossover rate", {}),
@@ -271,9 +269,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse flags, SUBSETHARMONY_SEED and --config into one namespace.
 
     For report commands the namespace's `output` gets its format-dependent
-    default, and an output path that is a directory or lies in a missing
-    directory is a UsageError. No config is built here: main builds them after
-    reading the data.
+    default, and an output path that is a directory, lies in a missing
+    directory or is the data file (os.path.samefile) is a UsageError. No
+    config is built here: main builds them after reading the data.
     """
     parser = _build_parser()
     if not argv or argv[0] in ("-h", "--help"):
@@ -300,6 +298,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             raise UsageError(f"--output is a directory: {output}")
         if not os.path.isdir(os.path.dirname(output) or "."):
             raise UsageError(f"--output directory not found: {os.path.dirname(output)}")
+        if os.path.exists(output) and os.path.samefile(output, ns.data):
+            raise UsageError(f"--output is the --data file: {output}")
     return ns
 
 

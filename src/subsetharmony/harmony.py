@@ -13,15 +13,13 @@ entry only on strict fitness improvement.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .subsets import FeatureSubset, check_subset_size
-
-PITCH_TOPOLOGIES = ("index", "column")
 
 # candidates hs_run improvises ahead against an unchanged memory and scores
 # as one batch (RunLog.score)
@@ -45,12 +43,8 @@ class HsConfig:
     """Harmony search parameters.
 
     hmcr is the probability a slot draws from the memory, par the
-    probability a memory draw is pitch-adjusted, bandwidth the scale of
-    that adjustment. pitch_topology selects what "neighbouring value"
-    means: "index" walks the numeric feature-index line (the default);
-    "column" walks the sorted values currently stored in the slot's memory
-    column. Both readings of the neighbourhood are defensible for discrete
-    feature indices, so the variant ships behind this switch.
+    probability a memory draw is pitch-adjusted to a neighbouring feature
+    index (pitch_adjust), bandwidth the scale of that move in indices.
     """
 
     n_features: int
@@ -61,7 +55,6 @@ class HsConfig:
     bandwidth: float = 1.0
     max_iterations: int = 100
     seed: int = 0
-    pitch_topology: str = "index"
 
     def __post_init__(self) -> None:
         check_subset_size(self.n_features, self.subset_size)
@@ -75,10 +68,6 @@ class HsConfig:
             raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.pitch_topology not in PITCH_TOPOLOGIES:
-            raise ValueError(
-                f"pitch_topology must be one of {PITCH_TOPOLOGIES}, got {self.pitch_topology!r}"
-            )
 
 
 class HarmonyMemory:
@@ -227,43 +216,26 @@ def speculate(log: RunLog, rng: np.random.Generator, steps: int, depth: int,
                 break
 
 
-def pitch_adjust(
-    value: int,
-    band: float,
-    eps: float,
-    forbidden: set[int],
-    domain: int | Sequence[int],
-) -> int:
-    """Move a feature index to a nearby free one along a sorted domain.
+def pitch_adjust(value: int, band: float, eps: float, forbidden: set[int], n_features: int) -> int:
+    """Move a feature index to a nearby free one on the line range(n_features).
 
-    An int domain n is the index line range(n); a sequence (a memory column)
-    is walked as its sorted distinct values, and must contain value. The raw
-    step is round(band * eps) positions; a step that rounds to zero becomes
-    a unit step in eps's direction, so left and right moves are equally
-    likely under symmetric eps. The candidate position is clamped to the
-    domain, and collisions with `forbidden` (or with the original value)
-    probe outward alternately (+1, -1, +2, -2, ...) until a free value is
-    found. If no value is free the value is returned unchanged.
+    The step is round(band * eps) indices, or one index in eps's direction
+    where that rounds to zero, so left and right are equally likely under
+    symmetric eps. From the clamped candidate, a forbidden index or value
+    itself probes outward (+1, -1, +2, -2, ...) to the nearest free index;
+    with none free, value is returned. A bad eps or value is a ValueError.
     """
     if not -1.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [-1,1], got {eps}")
-    ordered = range(domain) if isinstance(domain, int) else sorted(set(domain))
-    pos = ordered.index(value)
+    if value not in range(n_features):
+        raise ValueError(f"value {value} not in range({n_features})")
     step = int(np.rint(band * eps))
     if step == 0 and eps != 0.0:
         step = 1 if eps > 0 else -1
-    candidate = min(max(pos + step, 0), len(ordered) - 1)
-
-    def free(p: int) -> bool:
-        return 0 <= p < len(ordered) and ordered[p] != value and ordered[p] not in forbidden
-
-    if free(candidate):
-        return ordered[candidate]
-    for delta in range(1, len(ordered) + 1):
-        if free(candidate + delta):
-            return ordered[candidate + delta]
-        if free(candidate - delta):
-            return ordered[candidate - delta]
+    candidate = min(max(value + step, 0), n_features - 1)
+    for probe in (candidate + sign * delta for delta in range(n_features + 1) for sign in (1, -1)):
+        if 0 <= probe < n_features and probe != value and probe not in forbidden:
+            return probe
     return value
 
 
@@ -272,13 +244,14 @@ def improvise(memory: HarmonyMemory, cfg: HsConfig, rng: np.random.Generator) ->
 
     Each slot draws from its own memory column (values already chosen at
     earlier slots are inadmissible) with probability hmcr, else uniformly
-    from all unchosen features. Memory draws are pitch-adjusted with
-    probability par. An exhausted column (every stored value already
-    chosen) falls back to a random unchosen feature from the memory, so
-    that pure memory consideration never invents indices the memory cannot
-    justify; one is always left, as every row holds subset_size distinct
-    features and fewer are chosen before the last slot. A memory whose
-    subsets do not fit cfg's subset_size or n_features is rejected.
+    from all unchosen features. Memory draws are pitch-adjusted along the
+    feature-index line with probability par (pitch_adjust). An exhausted
+    column (every stored value already chosen) falls back to a random
+    unchosen feature from the memory, so that pure memory consideration
+    never invents indices the memory cannot justify; one is always left, as
+    every row holds subset_size distinct features and fewer are chosen
+    before the last slot. A memory whose subsets do not fit cfg's
+    subset_size or n_features is rejected.
     """
     if memory.subset_size != cfg.subset_size:
         raise ValueError(f"memory holds {memory.subset_size}-feature subsets, "
@@ -300,8 +273,7 @@ def improvise(memory: HarmonyMemory, cfg: HsConfig, rng: np.random.Generator) ->
                 m2 = rng.random()
                 if m2 < cfg.par:
                     eps = float(rng.uniform(-1.0, 1.0))
-                    domain = cfg.n_features if cfg.pitch_topology == "index" else column
-                    value = pitch_adjust(value, cfg.bandwidth, eps, chosen_set, domain)
+                    value = pitch_adjust(value, cfg.bandwidth, eps, chosen_set, cfg.n_features)
             else:
                 pool = sorted(memory.column_union() - chosen_set)
                 value = int(pool[rng.integers(len(pool))])

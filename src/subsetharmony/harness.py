@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .baselines import GaConfig, PcaConfig, PsoConfig, ga_run, pca_run, pso_run
+from .baselines import GaConfig, PcaConfig, PsoConfig, ga_run, pca_candidates, pca_run, pso_run
 from .harmony import HsConfig, hs_run
 from .seeding import derive_seed
 from .wrapper import SubsetObjective
@@ -118,6 +118,12 @@ class FractionSweepReport:
             raise ValueError("fraction sweep field lengths differ")
         if any(k < 1 for k in self.subset_sizes):
             raise ValueError("subset sizes must be >= 1")
+        bad = [pct for pct in self.fraction_percents if not 0.0 < pct <= 100.0]
+        if bad:
+            raise ValueError(f"fraction percents must be in (0, 100], got {bad[0]}")
+        bad = [acc for acc in self.accuracies if not 0.0 <= acc <= 100.0]
+        if bad:
+            raise ValueError(f"accuracies must be percents in [0, 100], got {bad[0]}")
 
     @property
     def best_index(self) -> int:
@@ -209,10 +215,14 @@ def compare_optimizers(
     """Run each optimizer against a freshly cleared cache and time the run.
 
     The cache reset keeps the wall-clock column fair: no optimizer inherits
-    evaluations paid for by an earlier one.
+    evaluations paid for by an earlier one. A PCA config whose component
+    count the folds cannot hold is rejected before the first run.
     """
     if not configs:
         raise ValueError("at least one optimizer config is required")
+    for cfg in configs:
+        if isinstance(cfg, PcaConfig):
+            pca_candidates(cfg, objective)
     rows: list[ComparisonRow] = []
     for cfg in configs:
         objective.reset_cache()

@@ -123,7 +123,7 @@ def test_3_harmony_invariant_suite(tiny8, criterion):
 
         # 10^4 fuzzed improvisations always emit distinct in-range indices
         fuzz = np.random.default_rng(99)
-        for trial in range(10_000):
+        for _ in range(10_000):
             n = int(fuzz.integers(3, 31))
             k = int(fuzz.integers(1, min(6, n) + 1))
             hms = int(fuzz.integers(1, 6))
@@ -131,7 +131,6 @@ def test_3_harmony_invariant_suite(tiny8, criterion):
                 n_features=n, subset_size=k, hms=hms,
                 hmcr=float(fuzz.random()), par=float(fuzz.random()),
                 bandwidth=float(fuzz.uniform(0.25, 3.0)),
-                pitch_topology="index" if trial % 2 == 0 else "column",
             )
             rows = [Harmony(random_subset(n, k, fuzz),
                             float(fuzz.uniform(0, 100))) for _ in range(hms)]

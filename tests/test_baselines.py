@@ -231,6 +231,10 @@ class TestPcaFit:
         with pytest.raises(ValueError):
             PcaModel(components=ok.components,
                      eigenvalues=np.array([1.0, -0.5]), means=ok.means)
+        for eigenvalues, means in ((ok.eigenvalues[:1], ok.means),
+                                   (ok.eigenvalues, ok.means[:1])):
+            with pytest.raises(ValueError, match="^inconsistent PCA model shapes$"):
+                PcaModel(components=ok.components, eigenvalues=eigenvalues, means=means)
 
 
 class TestPcaTransform:

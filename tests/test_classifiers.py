@@ -58,6 +58,23 @@ class TestConfigs:
             KnnConfig(k_neighbors=0)
 
 
+class TestModelValidation:
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3), (3,), (4, 2), (2,)),
+        ((2, 3), (2,), (3, 2), (2,)),
+        ((2, 3), (3,), (3, 2), (3,)),
+    ], ids=["w_out", "b_hidden", "b_out"])
+    def test_inconsistent_layer_shapes_rejected(self, shapes):
+        with pytest.raises(ValueError, match="^inconsistent layer shapes$"):
+            MlpModel(*(np.zeros(shape) for shape in shapes))
+
+    def test_non_finite_weight_rejected(self):
+        w_hidden = np.zeros((2, 3))
+        w_hidden[1, 2] = np.inf
+        with pytest.raises(ValueError, match="^model weights must be finite$"):
+            MlpModel(w_hidden, np.zeros(3), np.zeros((3, 2)), np.zeros(2))
+
+
 class TestDefaultHidden:
     def test_half_sum_rounded_up(self):
         assert default_hidden_neurons(2, 2) == 2

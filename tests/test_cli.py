@@ -127,6 +127,39 @@ class TestUsageErrors:
             assert code == 1
             assert err.startswith("error: --output ") and message in err
 
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    def test_output_naming_the_data_file_is_refused(self, capsys, tmp_path, tiny8_path,
+                                                    monkeypatch, spelling):
+        def never(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "compare_optimizers", never)
+        data = tmp_path / "d.csv"
+        data.write_bytes(tiny8_path.read_bytes())
+        (tmp_path / "link.csv").symlink_to(data)
+        monkeypatch.chdir(tmp_path)
+        output = {"same": "d.csv", "dot": "./d.csv", "symlink": "link.csv"}[spelling]
+        code, _, err = _run(capsys, ["compare", "--data", "d.csv", "--k", "2",
+                                     "--classifier", "knn", "--output", output])
+        assert code == 1
+        assert err.startswith(f"error: --output is the --data file: {output}")
+        assert data.read_bytes() == tiny8_path.read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["grid", "--k", "2", "--hms-values", "4,x"],
+         "argument --hms-values: expected comma-separated integers, got '4,x'"),
+        (["grid", "--k", "2", "--hms-values", ","],
+         "argument --hms-values: expected at least one integer"),
+        (["compare", "--k", "2", "--optimizers", ","],
+         "argument --optimizers: expected at least one optimizer name"),
+        (["compare", "--k", "2", "--optimizers", "hs,foo"],
+         "argument --optimizers: unknown optimizer(s): foo"),
+    ], ids=["bad-integer", "no-integer", "no-optimizer", "unknown-optimizer"])
+    def test_malformed_list_is_a_usage_error(self, capsys, tiny8_path, argv, message):
+        code, _, err = _run(capsys, [*argv, "--data", str(tiny8_path)])
+        assert code == 1
+        assert err.startswith(f"error: {message}\n")
+
     def test_k_exceeding_features_is_usage_error(self, capsys, tiny8_path):
         code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
                                      "--k", "99", *FAST])
@@ -254,6 +287,14 @@ class TestConfigAndEnv:
                                      "--k", "3", "--config", str(cfg)])
         assert code == 1
         assert "run.cfg:1" in err
+
+    def test_empty_key_names_location(self, tmp_path, capsys, tiny8_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(" = 3\n")
+        code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
+                                     "--k", "3", "--config", str(cfg)])
+        assert code == 1
+        assert err == f"error: {cfg}:1: empty key\n"
 
     def test_unknown_config_key(self, tmp_path, capsys, tiny8_path):
         cfg = tmp_path / "run.cfg"

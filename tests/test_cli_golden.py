@@ -26,8 +26,6 @@ SMALL_COMPARE = ["--hms", "4", "--iterations", "5", "--population", "4",
 
 CASES = {
     "select_hs_index": ["select", "--k", "3", "--hms", "6", "--iterations", "30"],
-    "select_hs_column": ["select", "--k", "3", "--hms", "6", "--iterations", "30",
-                         "--pitch-topology", "column"],
     "select_ga": ["select", "--k", "3", "--optimizer", "ga", "--population", "5",
                   "--generations", "5"],
     "select_pso": ["select", "--k", "3", "--optimizer", "pso", "--particles", "5",

@@ -54,28 +54,6 @@ def _reference_index_walk(value, band, eps, forbidden, n_features):
     return value
 
 
-def _reference_column_walk(value, band, eps, forbidden, domain):
-    """Pitch adjustment along a memory column, as written before the walks merged."""
-    ordered = sorted(set(domain))
-    pos = ordered.index(value)
-    step = int(np.rint(band * eps))
-    if step == 0 and eps != 0.0:
-        step = 1 if eps > 0 else -1
-    cand = min(max(pos + step, 0), len(ordered) - 1)
-
-    def free(p):
-        return 0 <= p < len(ordered) and ordered[p] != value and ordered[p] not in forbidden
-
-    if free(cand):
-        return ordered[cand]
-    for delta in range(1, len(ordered) + 1):
-        if free(cand + delta):
-            return ordered[cand + delta]
-        if free(cand - delta):
-            return ordered[cand - delta]
-    return value
-
-
 def _memory(*rows):
     return HarmonyMemory([Harmony(FeatureSubset(s), f) for s, f in rows])
 
@@ -100,7 +78,6 @@ class TestTypes:
             dict(n_features=5, subset_size=2, par=-0.1),
             dict(n_features=5, subset_size=2, bandwidth=0.0),
             dict(n_features=5, subset_size=2, max_iterations=0),
-            dict(n_features=5, subset_size=2, pitch_topology="ring"),
         ]
         for kw in cases:
             with pytest.raises(ValueError):
@@ -169,20 +146,21 @@ class TestPitchAdjust:
         with pytest.raises(ValueError):
             pitch_adjust(5, 1.0, 1.5, set(), 20)
 
+    @pytest.mark.parametrize("value", [8, -1, 3.5])
+    def test_value_off_the_line_rejected(self, value):
+        with pytest.raises(ValueError):
+            pitch_adjust(value, 1.0, 0.5, set(), 8)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_matches_reference_walks_on_both_topologies(self, data):
+    def test_matches_reference_index_walk(self, data):
         n = data.draw(st.integers(1, 25), label="n_features")
         value = data.draw(st.integers(0, n - 1), label="value")
         band = data.draw(st.floats(0.0, 8.0), label="band")
         eps = data.draw(st.floats(-1.0, 1.0), label="eps")
         forbidden = data.draw(st.sets(st.integers(0, n - 1)), label="forbidden")
-        column = data.draw(st.lists(st.integers(0, n - 1), max_size=12), label="column")
-        column.insert(data.draw(st.integers(0, len(column)), label="slot"), value)
         assert pitch_adjust(value, band, eps, forbidden, n) == \
             _reference_index_walk(value, band, eps, forbidden, n)
-        assert pitch_adjust(value, band, eps, forbidden, column) == \
-            _reference_column_walk(value, band, eps, forbidden, column)
 
     def test_direction_split_is_symmetric(self):
         # steps of |round(1*eps)| in {0,1}; zero-step promotion keeps the
@@ -272,7 +250,7 @@ class TestImprovise:
 
     def test_fuzz_output_always_valid(self):
         rng = np.random.default_rng(2024)
-        for trial in range(10_000):
+        for _ in range(10_000):
             n = int(rng.integers(3, 31))
             k = int(rng.integers(1, min(6, n) + 1))
             hms = int(rng.integers(1, 6))
@@ -280,7 +258,6 @@ class TestImprovise:
                 n_features=n, subset_size=k, hms=hms,
                 hmcr=float(rng.random()), par=float(rng.random()),
                 bandwidth=float(rng.uniform(0.25, 3.0)),
-                pitch_topology="index" if trial % 2 == 0 else "column",
             )
             rows = [Harmony(random_subset(n, k, rng), float(rng.uniform(0, 100)))
                     for _ in range(hms)]
@@ -383,12 +360,6 @@ class TestHsRun:
             found, _ = hs_run(cfg, LeaveOneOutObjective(tiny8))
             assert found.subset.key == best_key
             assert found.fitness == pytest.approx(best_score)
-
-    def test_column_topology_also_solves(self, tiny8):
-        cfg = HsConfig(n_features=8, subset_size=3, hms=10, max_iterations=500,
-                       seed=0, pitch_topology="column")
-        found, _ = hs_run(cfg, LeaveOneOutObjective(tiny8))
-        assert found.subset.key == (0, 5, 7)
 
 
 def _sequential_hs_run(cfg: HsConfig, objective):

@@ -84,6 +84,23 @@ class TestReportTypes:
             FractionSweepReport((), (), ())
         with pytest.raises(ValueError, match="subset sizes must be >= 1"):
             FractionSweepReport((10.0, 50.0), (0, 2), (90.0, 91.0))
+        FractionSweepReport((0.5, 100.0), (1, 2), (0.0, 100.0))
+        for fraction in (0.0, -5.0, 100.5, math.nan):
+            with pytest.raises(ValueError, match="fraction percents must be in"):
+                FractionSweepReport((fraction, 50.0), (1, 2), (90.0, 91.0))
+        for accuracy in (-0.5, 100.5, math.nan):
+            with pytest.raises(ValueError, match="accuracies must be percents in"):
+                FractionSweepReport((10.0, 50.0), (1, 2), (90.0, accuracy))
+
+    @pytest.mark.parametrize("row, match", [("150,2,90.00", "fraction percents"),
+                                            ("50,2,150.00", "accuracies")],
+                             ids=["fraction", "accuracy"])
+    def test_fraction_csv_outside_percent_range_rejected(self, row, match, tmp_path):
+        path = tmp_path / "frac.csv"
+        path.write_text(f"fraction_percent,subset_size,accuracy_percent\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            read_fractions_csv(path)
 
     @pytest.mark.parametrize("accuracies, best", [
         ((50.0, 70.0, 70.0), 1),   # a tie goes to the earlier fraction
@@ -195,6 +212,17 @@ class TestCompareOptimizers:
         obj = SubsetObjective(tiny8, ObjectiveConfig(classifier="knn"))
         with pytest.raises(TypeError, match="^unsupported optimizer config: ObjectiveConfig$"):
             harness.run_optimizer(ObjectiveConfig(), obj)
+
+    def test_infeasible_components_rejected_before_the_first_run(self, tiny8, monkeypatch):
+        def spy(cfg, objective):
+            raise AssertionError("HS ran before the PCA config was checked")
+
+        monkeypatch.setattr(harness, "hs_run", spy)
+        obj = SubsetObjective(tiny8, ObjectiveConfig(classifier="knn", folds=2))
+        configs = [HsConfig(n_features=8, subset_size=2, hms=3, max_iterations=3),
+                   PcaConfig(components=9)]
+        with pytest.raises(ValueError, match="^components=9 exceeds feasible maximum 8$"):
+            compare_optimizers(configs, obj)
 
     def test_empty_configs_rejected(self, tiny8):
         obj = SubsetObjective(tiny8, ObjectiveConfig(classifier="knn"))

@@ -33,8 +33,6 @@ SEEDS = (1, 2)
 # which of several equally good subsets each optimizer keeps as its best
 OPTIMIZERS = {
     "hs_index": (hs_run, lambda seed: HsConfig(8, 4, hms=4, max_iterations=30, seed=seed)),
-    "hs_column": (hs_run, lambda seed: HsConfig(8, 4, hms=4, max_iterations=30, seed=seed,
-                                                pitch_topology="column")),
     "ga": (ga_run, lambda seed: GaConfig(8, 4, population=4, generations=8, seed=seed)),
     "pso": (pso_run, lambda seed: PsoConfig(8, 4, particles=4, iterations=8, seed=seed)),
 }
