@@ -35,8 +35,6 @@ from .subsets import FeatureSubset
 from .wrapper import CLASSIFIERS, ObjectiveConfig, SubsetObjective, confidence_interval
 
 ENV_SEED = "SUBSETHARMONY_SEED"
-_TRUE_WORDS = frozenset({"true", "1", "yes", "on"})
-_FALSE_WORDS = frozenset({"false", "0", "no", "off"})
 
 # The one definition of each flag that sets a config field, in --help order:
 # (flag, config class, field, help, the argparse keywords the field's default
@@ -47,11 +45,6 @@ _FLAGS = (
     ("classifier", ObjectiveConfig, "classifier", "wrapped classifier",
      {"choices": CLASSIFIERS}),
     ("folds", ObjectiveConfig, "folds", "stratified CV folds", {}),
-    ("standardize", ObjectiveConfig, "standardize", "z-score features per fold (train stats)",
-     {"action": argparse.BooleanOptionalAction}),
-    ("fold-average", ObjectiveConfig, "fold_average",
-     "report mean of fold accuracies instead of pooled",
-     {"action": argparse.BooleanOptionalAction}),
     ("hidden", MlpConfig, "hidden_neurons",
      "MLP hidden neurons (default: ceil((features+classes)/2))", {"type": int}),
     ("learning-rate", MlpConfig, "learning_rate", "MLP learning rate", {}),
@@ -123,9 +116,8 @@ def _add_flags(sub: argparse.ArgumentParser, *classes: type) -> None:
     for name, cls, field, help, keywords in _FLAGS:
         if cls in classes:
             default = getattr(cls, field)
-            if "action" not in keywords:
-                keywords = {"type": type(default), **keywords}
-            sub.add_argument(f"--{name}", default=default, help=help, **keywords)
+            sub.add_argument(f"--{name}", default=default, help=help,
+                             **{"type": type(default), **keywords})
     taken = tuple(name for name, cls in OPTIMIZERS.items() if cls in classes)
     sub.set_defaults(optimizer_names=(sub.get_default("optimizer_names") or ()) + taken)
 
@@ -225,15 +217,7 @@ def _config_file_args(path: str) -> list[str]:
             value = value.strip()
             if not key:
                 raise UsageError(f"{path}:{lineno}: empty key")
-            if any(name == key and "action" in kw for name, *_, kw in _FLAGS):
-                if value.lower() in _TRUE_WORDS:
-                    args.append(f"--{key}")
-                elif value.lower() in _FALSE_WORDS:
-                    args.append(f"--no-{key}")
-                else:
-                    raise UsageError(f"{path}:{lineno}: boolean expected, got {value!r}")
-            else:
-                args.extend([f"--{key}", value])
+            args.extend([f"--{key}", value])
     return args
 
 
@@ -270,8 +254,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
     For report commands the namespace's `output` gets its format-dependent
     default, and an output path that is a directory, lies in a missing
-    directory or is the data file (os.path.samefile) is a UsageError. No
-    config is built here: main builds them after reading the data.
+    directory or is the data or config file (os.path.samefile) is a
+    UsageError. No config is built here: main builds them after reading the
+    data.
     """
     parser = _build_parser()
     if not argv or argv[0] in ("-h", "--help"):
@@ -298,8 +283,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             raise UsageError(f"--output is a directory: {output}")
         if not os.path.isdir(os.path.dirname(output) or "."):
             raise UsageError(f"--output directory not found: {os.path.dirname(output)}")
-        if os.path.exists(output) and os.path.samefile(output, ns.data):
-            raise UsageError(f"--output is the --data file: {output}")
+        for flag, path in (("--data", ns.data), ("--config", config_path)):
+            if path is not None and os.path.exists(output) and os.path.samefile(output, path):
+                raise UsageError(f"--output is the {flag} file: {output}")
     return ns
 
 

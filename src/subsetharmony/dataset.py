@@ -38,7 +38,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise DatasetError(f"features must be 2-D, got shape {features.shape}")
         n_samples, n_features = features.shape
@@ -54,10 +54,16 @@ class Dataset:
         classes = tuple(str(c) for c in self.class_names)
         if len(names) != n_features:
             raise DatasetError(f"{len(names)} feature names for {n_features} columns")
+        if labels.dtype.kind not in "iu":
+            # checked before the cast, which would turn 1.7 into 1 and warn on nan;
+            # integer labels, as every fold plan builds, skip the check
+            labels = np.asarray(labels, dtype=np.float64)
+            if not np.all(np.isfinite(labels) & (labels == np.trunc(labels))):
+                raise DatasetError("labels must be finite integral class ids")
         if labels.min() < 0 or labels.max() >= len(classes):
             raise DatasetError("labels must be 0-based class ids below n_classes")
         object.__setattr__(self, "features", _frozen(features))
-        object.__setattr__(self, "labels", _frozen(labels))
+        object.__setattr__(self, "labels", _frozen(labels.astype(np.int64, copy=False)))
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "class_names", classes)
 

@@ -87,8 +87,9 @@ class ComparisonRow:
             raise ValueError(f"subset_size must be >= 1, got {self.subset_size}")
         if not 0.0 <= self.accuracy_percent <= 100.0:
             raise ValueError(f"accuracy out of range: {self.accuracy_percent}")
-        if self.execution_seconds < 0.0:
-            raise ValueError(f"negative execution time: {self.execution_seconds}")
+        if not 0.0 <= self.execution_seconds < math.inf:
+            raise ValueError(f"execution time must be finite and >= 0, "
+                             f"got {self.execution_seconds}")
 
 
 @dataclass(frozen=True)

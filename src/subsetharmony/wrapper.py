@@ -18,8 +18,6 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-import numpy as np
-
 from .classifiers import (
     KnnConfig,
     MlpConfig,
@@ -85,19 +83,13 @@ CLASSIFIERS = ("mlp", "knn")
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Which classifier scores a subset, and how the folds are built.
-
-    fold_average=False pools correct counts over all folds (micro average);
-    True averages the per-fold accuracies instead, for comparison.
-    """
+    """Which classifier scores a subset, and how the folds are built."""
 
     classifier: str = "mlp"
     mlp: MlpConfig = field(default_factory=MlpConfig)
     knn: KnnConfig = field(default_factory=KnnConfig)
     folds: int = 3
     fold_seed: int = 0
-    standardize: bool = True
-    fold_average: bool = False
 
     def __post_init__(self) -> None:
         if self.classifier not in CLASSIFIERS:
@@ -109,9 +101,9 @@ class ObjectiveConfig:
 
 FoldPairs = tuple[tuple[Dataset, Dataset], ...]
 
-# each dataset's fold plans by (folds, fold_seed, standardize). A plan is a pure
-# function of an immutable Dataset, so sharing it changes no result; the entry
-# goes when the dataset does.
+# each dataset's fold plans by (folds, fold_seed). A plan is a pure function of
+# an immutable Dataset, so sharing it changes no result; the entry goes when the
+# dataset does.
 _PLANS: weakref.WeakKeyDictionary[Dataset, dict[tuple, FoldPairs]] = weakref.WeakKeyDictionary()
 
 
@@ -119,18 +111,18 @@ def fold_plan(d: Dataset, cfg: ObjectiveConfig) -> FoldPairs:
     """The (train, test) parts of every fold of d at full width, built once.
 
     The fold assignment depends only on the labels and cfg.fold_seed, so
-    every caller is scored against the same folds. With cfg.standardize each
-    pair holds z-scores fitted on the training part over all columns: that
-    full-width standardization is the reference a subset's columns are cut
-    from, so a column that overflows raises DatasetError here, whichever
-    subset is asked for. The plan lives as long as d does.
+    every caller is scored against the same folds. Each pair holds z-scores
+    fitted on the training part over all columns: that full-width
+    standardization is the reference a subset's columns are cut from, so a
+    column that overflows raises DatasetError here, whichever subset is asked
+    for. The plan lives as long as d does.
     """
     plans = _PLANS.setdefault(d, {})
-    key = (cfg.folds, cfg.fold_seed, cfg.standardize)
+    key = (cfg.folds, cfg.fold_seed)
     if key not in plans:
         pairs = [(take_rows(d, train_rows), take_rows(d, test_rows))
                  for train_rows, test_rows in stratified_kfold(d, cfg.folds, cfg.fold_seed)]
-        plans[key] = tuple(standardize(*pair) if cfg.standardize else pair for pair in pairs)
+        plans[key] = tuple(standardize(*pair) for pair in pairs)
     return plans[key]
 
 
@@ -164,15 +156,15 @@ def cross_validate(
                        for pairs in members]
     return [_result([int((predicted == test.labels).sum())
                      for predicted, (_, test) in zip(member_predictions, pairs)],
-                    [test.n_samples for _, test in pairs], cfg.fold_average)
+                    [test.n_samples for _, test in pairs])
             for member_predictions, pairs in zip(predictions, members)]
 
 
-def _result(correct: list[int], total: list[int], fold_average: bool) -> EvaluationResult:
-    """Result of per-fold counts: pooled, or the mean fold accuracy if fold_average."""
+def _result(correct: list[int], total: list[int]) -> EvaluationResult:
+    """Result of per-fold counts, scored by the pooled count over all folds."""
     per_fold = tuple(accuracy(c, t) for c, t in zip(correct, total))
-    overall = float(np.mean(per_fold)) if fold_average else accuracy(sum(correct), sum(total))
-    return EvaluationResult(accuracy_percent=overall, per_fold_accuracy=per_fold,
+    return EvaluationResult(accuracy_percent=accuracy(sum(correct), sum(total)),
+                            per_fold_accuracy=per_fold,
                             correct_count=sum(correct), total_count=sum(total))
 
 
@@ -301,4 +293,4 @@ class LeaveOneOutObjective(SubsetObjective):
         x = sub.features
         predicted = _knn_vote(x, sub.labels, sub.n_classes, x, self.config.knn.k_neighbors,
                               skip_self=True)
-        return _result([int((predicted == sub.labels).sum())], [sub.n_samples], False)
+        return _result([int((predicted == sub.labels).sum())], [sub.n_samples])

@@ -55,7 +55,6 @@ class TestParseArgs:
         objective = _objective_config(monkeypatch, spec)
         assert objective.classifier == "mlp"
         assert objective.folds == 3
-        assert objective.standardize is True
 
     def test_seed_fans_out_to_components(self, tiny8_path, monkeypatch):
         a = _objective_config(monkeypatch, cli.parse_args(
@@ -145,6 +144,25 @@ class TestUsageErrors:
         assert err.startswith(f"error: --output is the --data file: {output}")
         assert data.read_bytes() == tiny8_path.read_bytes()
 
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    def test_output_naming_the_config_file_is_refused(self, capsys, tmp_path, tiny8_path,
+                                                      monkeypatch, spelling):
+        def never(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "compare_optimizers", never)
+        config = tmp_path / "run.cfg"
+        config.write_text("classifier = knn\nfolds = 2\n")
+        before = config.read_bytes()
+        (tmp_path / "link.cfg").symlink_to(config)
+        monkeypatch.chdir(tmp_path)
+        output = {"same": "run.cfg", "dot": "./run.cfg", "symlink": "link.cfg"}[spelling]
+        code, _, err = _run(capsys, ["compare", "--data", str(tiny8_path), "--k", "2",
+                                     "--config", "run.cfg", "--output", output])
+        assert code == 1
+        assert err.startswith(f"error: --output is the --config file: {output}")
+        assert config.read_bytes() == before
+
     @pytest.mark.parametrize("argv, message", [
         (["grid", "--k", "2", "--hms-values", "4,x"],
          "argument --hms-values: expected comma-separated integers, got '4,x'"),
@@ -204,12 +222,12 @@ class TestConfigAndEnv:
     def test_config_file_supplies_values(self, tmp_path, tiny8_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nhmcr = 0.9\niterations = 25\n"
-                       "fold_average = true\n")
+                       "folds = 4\n")
         spec = cli.parse_args(["select", "--data", str(tiny8_path), "--k", "3",
                                "--config", str(cfg)])
         assert spec.hmcr == 0.9
         assert spec.iterations == 25
-        assert _objective_config(monkeypatch, spec).fold_average is True
+        assert _objective_config(monkeypatch, spec).folds == 4
 
     @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"],
                                           ["--conf", "{}"], ["--co={}"]],
@@ -265,20 +283,13 @@ class TestConfigAndEnv:
         assert code == 1
         assert cli.ENV_SEED in err
 
-    def test_boolean_config_keys(self, tmp_path, tiny8_path, monkeypatch):
+    def test_removed_scoring_key_is_unrecognized(self, tmp_path, capsys, tiny8_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("standardize = off\n")
-        spec = cli.parse_args(["select", "--data", str(tiny8_path), "--k", "3",
-                               "--config", str(cfg)])
-        assert _objective_config(monkeypatch, spec).standardize is False
-
-    def test_bad_boolean_value(self, tmp_path, capsys, tiny8_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("standardize = maybe\n")
         code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
                                      "--k", "3", "--config", str(cfg)])
         assert code == 1
-        assert "maybe" in err
+        assert err.startswith("error: unrecognized arguments: --standardize off\n")
 
     def test_malformed_line_names_location(self, tmp_path, capsys, tiny8_path):
         cfg = tmp_path / "run.cfg"

@@ -46,8 +46,6 @@ CASES = {
     "pca_components": ["pca", "--components", "2"],
     "eval": ["eval", "--features", "0,5,7"],
     "eval_mlp": ["eval", "--features", "0,5,7", "--classifier", "mlp", "--epochs", "50"],
-    "eval_fold_average_raw": ["eval", "--features", "1,2", "--fold-average",
-                              "--no-standardize"],
 }
 
 

@@ -37,6 +37,17 @@ class TestDatasetType:
         with pytest.raises(DatasetError):
             Dataset(np.ones((2, 1)), np.array([-1, 0]), ("a",), ("x", "y"))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.0, np.nan], [0.0, np.inf]],
+                             ids=["fractional", "nan", "inf"])
+    def test_non_integral_labels_rejected(self, labels):
+        with pytest.raises(DatasetError, match="labels must be finite integral class ids"):
+            Dataset(np.zeros((2, 1)), np.array(labels), ("a",), ("x", "y"))
+
+    def test_integral_float_labels_load_as_ints(self):
+        d = Dataset(np.zeros((2, 1)), np.array([1.0, 0.0]), ("a",), ("x", "y"))
+        assert d.labels.dtype == np.int64
+        assert d.labels.tolist() == [1, 0]
+
     def test_declared_empty_class_allowed(self):
         # take_rows can legitimately produce single-class row subsets
         d = Dataset(np.ones((2, 1)), np.array([0, 0]), ("a",), ("x", "y"))

@@ -72,8 +72,9 @@ class TestReportTypes:
             ComparisonRow("HS", 0, 90.0, 0.5)
         with pytest.raises(ValueError):
             ComparisonRow("HS", 3, 101.0, 0.5)
-        with pytest.raises(ValueError):
-            ComparisonRow("HS", 3, 90.0, -0.5)
+        for seconds in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="execution time must be finite and >= 0"):
+                ComparisonRow("HS", 3, 90.0, seconds)
         with pytest.raises(ValueError):
             ComparisonReport(rows=())
 
@@ -91,6 +92,14 @@ class TestReportTypes:
         for accuracy in (-0.5, 100.5, math.nan):
             with pytest.raises(ValueError, match="accuracies must be percents in"):
                 FractionSweepReport((10.0, 50.0), (1, 2), (90.0, accuracy))
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-0.50"])
+    def test_comparison_csv_bad_execution_time_rejected(self, seconds, tmp_path):
+        path = tmp_path / "cmp.csv"
+        path.write_text("optimizer,subset_size,accuracy_percent,execution_seconds\n"
+                        f"HS,2,50.00,{seconds}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="execution time must be finite and >= 0"):
+            read_comparison_csv(path)
 
     @pytest.mark.parametrize("row, match", [("150,2,90.00", "fraction percents"),
                                             ("50,2,150.00", "accuracies")],

@@ -30,7 +30,7 @@ from subsetharmony import (
     wrapper,
 )
 from subsetharmony.classifiers import knn_predict
-from subsetharmony.dataset import project, standardize, take_rows
+from subsetharmony.dataset import project, standardize, stratified_kfold, take_rows
 from subsetharmony.synth import blob_dataset, planted_dataset
 
 
@@ -110,12 +110,6 @@ class TestEvaluateSubset:
         pooled = sum(round(a * 16 / 100.0) for a in r.per_fold_accuracy)
         assert pooled == r.correct_count
 
-    def test_fold_average_is_mean_of_folds(self, tiny8):
-        cfg = _knn_config(folds=3, fold_seed=5, fold_average=True)
-        r = evaluate_subset(tiny8, FeatureSubset((0, 5, 7)), cfg)
-        assert r.accuracy_percent == pytest.approx(
-            float(np.mean(r.per_fold_accuracy)))
-
     def test_repeated_evaluation_is_equal(self, tiny8):
         s = FeatureSubset((0, 5, 7))
         for cfg in (_knn_config(folds=3, fold_seed=5),
@@ -149,12 +143,15 @@ class TestEvaluateSubset:
         noise = rng.normal(0.0, 1000.0, n)
         d = Dataset(np.column_stack([signal, noise]), labels,
                     ("signal", "noise"), ("a", "b"))
-        s = FeatureSubset((0, 1))
-        std = evaluate_subset(d, s, _knn_config(folds=3, fold_seed=0))
-        raw = evaluate_subset(
-            d, s, _knn_config(folds=3, fold_seed=0, standardize=False))
+        cfg = _knn_config(folds=3, fold_seed=0)
+        std = evaluate_subset(d, FeatureSubset((0, 1)), cfg)
+        # the same folds and vote on the unstandardized columns
+        raw_correct = sum(
+            int((knn_predict(take_rows(d, train_rows), cfg.knn, take_rows(d, test_rows))
+                 == d.labels[test_rows]).sum())
+            for train_rows, test_rows in stratified_kfold(d, cfg.folds, cfg.fold_seed))
         assert std.accuracy_percent > 90.0
-        assert raw.accuracy_percent < 70.0
+        assert accuracy(raw_correct, n) < 70.0
 
     def test_random_labels_stay_in_range(self):
         rng = np.random.default_rng(9)
