@@ -44,15 +44,9 @@ from .dataset import (
 )
 from .harmony import (
     Harmony,
-    HarmonyMemory,
     HsConfig,
     RunHistory,
     hs_run,
-    improvise,
-    initialize_memory,
-    pitch_adjust,
-    random_subset,
-    replace_worst,
 )
 from .harness import (
     ComparisonReport,
@@ -80,7 +74,6 @@ from .wrapper import (
     accuracy,
     confidence_interval,
     evaluate_subset,
-    loo_knn_accuracy,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +89,6 @@ __all__ = [
     "GaConfig",
     "GridReport",
     "Harmony",
-    "HarmonyMemory",
     "HsConfig",
     "KnnConfig",
     "LeaveOneOutObjective",
@@ -122,11 +114,8 @@ __all__ = [
     "fraction_to_size",
     "ga_run",
     "hs_run",
-    "improvise",
-    "initialize_memory",
     "knn_predict",
     "load_csv",
-    "loo_knn_accuracy",
     "mlp_gradient",
     "mlp_loss",
     "mlp_predict",
@@ -134,16 +123,13 @@ __all__ = [
     "pca_fit",
     "pca_run",
     "pca_transform",
-    "pitch_adjust",
     "planted_dataset",
     "project",
     "pso_run",
-    "random_subset",
     "read_comparison_csv",
     "read_fractions_csv",
     "read_grid_csv",
     "render_report",
-    "replace_worst",
     "sweep_fractions",
     "sweep_grid",
     "standardize",

@@ -92,18 +92,6 @@ class MlpModel:
     def hidden_neurons(self) -> int:
         return self.w_hidden.shape[1]
 
-    @classmethod
-    def initialize(cls, n_features: int, hidden_neurons: int, n_classes: int,
-                   seed: int) -> "MlpModel":
-        """Seeded uniform [-0.5, 0.5] weight initialization, drawn w1, b1, w2, b2."""
-        rng = np.random.default_rng(seed)
-        return cls(
-            w_hidden=rng.uniform(-0.5, 0.5, size=(n_features, hidden_neurons)),
-            b_hidden=rng.uniform(-0.5, 0.5, size=hidden_neurons),
-            w_out=rng.uniform(-0.5, 0.5, size=(hidden_neurons, n_classes)),
-            b_out=rng.uniform(-0.5, 0.5, size=n_classes),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class MlpGradients:
@@ -275,12 +263,12 @@ def _train_pass(trains: list[Dataset], cfg: MlpConfig,
     # longest first, so the networks still stepping at any step are a prefix
     order = sorted(range(n), key=lambda b: -trains[b].n_samples)
     sizes = [trains[b].n_samples for b in order]
-    # one generator per network: weight init first, epoch shuffles continue the stream
+    # one generator per network: the initial weights, uniform in [-0.5, 0.5] and
+    # drawn w1, b1, w2, b2, then the epoch shuffles
     rngs = [np.random.default_rng(cfg.seed) for _ in order]
     w = np.empty(n * (f * h + h + h * c + c))
     init = _layers(w, n, n, dims)
     for slot, rng in enumerate(rngs):
-        # MlpModel.initialize's draws: w1, b1, w2, b2
         for layer in init:
             layer[slot] = rng.uniform(-0.5, 0.5, size=layer.shape[1:])
     v, g = np.zeros_like(w), np.zeros_like(w)

@@ -2,8 +2,9 @@
 
 Precedence for every setting: command-line flag, then SUBSETHARMONY_SEED
 (seed only), then --config file entries, then built-in defaults. The config
-file is flat key=value text using the long flag names; --config, like any
-flag, may be abbreviated. parse_args only parses; main reads the dataset, then
+file is flat key=value text whose keys are the subcommand's long flag names,
+spelled out in full; --config, like any flag on the command line, may be
+abbreviated. parse_args only parses; main reads the dataset, then
 builds every config, whose classes range-check each value.
 
 Exit codes: 0 success, 1 usage or validation error, 2 data error,
@@ -201,9 +202,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_file_args(path: str) -> list[str]:
+def _config_file_args(path: str, sub: argparse.ArgumentParser) -> list[str]:
+    """The file's key = value lines as sub's flags.
+
+    Each key must be a long flag of sub in full; --help and --config are not keys.
+    """
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
+    flags = {opt for action in sub._actions if action.dest not in ("help", "config")
+             for opt in action.option_strings if opt.startswith("--")}
     args: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -213,11 +220,13 @@ def _config_file_args(path: str) -> list[str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            key = key.strip().replace("_", "-")
-            value = value.strip()
+            key = key.strip()
             if not key:
                 raise UsageError(f"{path}:{lineno}: empty key")
-            args.extend([f"--{key}", value])
+            flag = "--" + key.replace("_", "-")
+            if flag not in flags:
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            args.extend([flag, value.strip()])
     return args
 
 
@@ -268,7 +277,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     config_path = None if sub is None else _config_path(sub, rest)
     injected: list[str] = []
     if config_path is not None:
-        injected.extend(_config_file_args(config_path))
+        injected.extend(_config_file_args(config_path, sub))
     injected.extend(_env_seed_args())
     ns = parser.parse_args([command] + injected + rest)
 

@@ -86,10 +86,6 @@ class HarmonyMemory:
         return tuple(self._harmonies)
 
     @property
-    def size(self) -> int:
-        return len(self._harmonies)
-
-    @property
     def subset_size(self) -> int:
         return self._harmonies[0].subset.k
 
@@ -99,9 +95,6 @@ class HarmonyMemory:
 
     def column_union(self) -> set[int]:
         return {i for h in self._harmonies for i in h.subset.indices}
-
-    def best(self) -> Harmony:
-        return max(self._harmonies, key=lambda h: h.fitness)
 
     def worst_index(self) -> int:
         fitnesses = [h.fitness for h in self._harmonies]
@@ -121,7 +114,6 @@ class RunHistory:
     best_fitness: tuple[float, ...]
     worst_fitness: tuple[float, ...]
     replaced: tuple[bool, ...]
-    best: Harmony
     evaluations: int
 
     def __post_init__(self) -> None:
@@ -142,7 +134,6 @@ class RunLog:
     prefetch, if any (SubsetObjective.prefetch), then yields the fitnesses
     in list order, each scored and counted only when read; so a loop that
     stops at the first accepted state change (speculate) scores no more.
-    A log over a run's log forwards both the batch and the calls to it.
     end_iteration appends one history row: the best fitness so far, the
     iteration's worst fitness, and the optimizer's replaced/improved flag.
     `batches` is the objective's own flag (SubsetObjective.batches), False
@@ -152,7 +143,7 @@ class RunLog:
 
     def __init__(self, objective) -> None:
         self._objective = objective
-        self.prefetch = getattr(objective, "prefetch", None)
+        self._prefetch = getattr(objective, "prefetch", None)
         self.batches = bool(getattr(objective, "batches", False))
         self.calls = 0
         self.best: Harmony | None = None
@@ -166,8 +157,8 @@ class RunLog:
         return fitness
 
     def score(self, subsets: list[FeatureSubset]) -> Iterator[float]:
-        if self.prefetch is not None:
-            self.prefetch(subsets)
+        if self._prefetch is not None:
+            self._prefetch(subsets)
         return map(self, subsets)
 
     def end_iteration(self, worst: float, flag: bool) -> None:
@@ -175,7 +166,7 @@ class RunLog:
 
     def result(self) -> tuple[Harmony, RunHistory]:
         best_fitness, worst_fitness, flags = zip(*self._rows)
-        return self.best, RunHistory(best_fitness, worst_fitness, flags, self.best, self.calls)
+        return self.best, RunHistory(best_fitness, worst_fitness, flags, self.calls)
 
 
 def speculate(log: RunLog, rng: np.random.Generator, steps: int, depth: int,
@@ -291,18 +282,16 @@ def random_subset(n_features: int, k: int, rng: np.random.Generator) -> FeatureS
     return FeatureSubset(tuple(int(i) for i in indices))
 
 
-def initialize_memory(cfg: HsConfig, objective, rng: np.random.Generator | None = None) -> HarmonyMemory:
-    """Fill the memory with hms random evaluated subsets.
+def initialize_memory(cfg: HsConfig, log: RunLog, rng: np.random.Generator) -> HarmonyMemory:
+    """Fill the memory with hms random subsets, scored through the run's log.
 
     The draws do not depend on any score, so all hms subsets are drawn
-    first and scored in draw order as one batch (RunLog.score), which a
-    run's log passed as the objective receives whole. Whole-subset duplicates
-    across rows are allowed; the evaluation cache makes re-scoring them free.
+    first and scored in draw order as one batch (RunLog.score). Whole-subset
+    duplicates across rows are allowed; the evaluation cache makes
+    re-scoring them free.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     subsets = [random_subset(cfg.n_features, cfg.subset_size, rng) for _ in range(cfg.hms)]
-    fitnesses = RunLog(objective).score(subsets)
+    fitnesses = log.score(subsets)
     return HarmonyMemory([Harmony(s, f) for s, f in zip(subsets, fitnesses)])
 
 

@@ -42,8 +42,11 @@ def accuracy(correct: int, total: int) -> float:
     return 100.0 * correct / total
 
 
-def confidence_interval(p_hat: float, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+CI_LEVEL = 0.95
+
+
+def confidence_interval(p_hat: float, n: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at coverage CI_LEVEL.
 
     Well behaved at extreme accuracies: contains p_hat and stays in [0, 1].
     """
@@ -51,9 +54,7 @@ def confidence_interval(p_hat: float, n: int, level: float = 0.95) -> tuple[floa
         raise ValueError(f"p_hat must be in [0,1], got {p_hat}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
-    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    z = NormalDist().inv_cdf((1.0 + CI_LEVEL) / 2.0)
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2 * n)) / denom
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4 * n * n)) / denom
@@ -132,20 +133,19 @@ Transform = Callable[[Dataset, Dataset], tuple[Dataset, Dataset]]
 def cross_validate(
     d: Dataset,
     cfg: ObjectiveConfig,
-    transforms: Sequence[Transform | None] = (None,),
+    transforms: Sequence[Transform],
 ) -> list[EvaluationResult]:
     """Stratified k-fold CV accuracy of the configured classifier on d, once per transform.
 
     Each member scores the folds of fold_plan(d, cfg), each first passed
-    through its `transform(train, test)` unless that is None; a transform
-    fitted on the training part only keeps the test part unseen. The MLP
+    through its `transform(train, test)`; a transform fitted on the
+    training part only keeps the test part unseen. The MLP
     folds of all members train through one mlp_train_many call, each to the
     bits it would reach alone; if any training diverges, it raises
     TrainingDivergedError and scores nothing.
     """
     plan = fold_plan(d, cfg)
-    members = [plan if transform is None else [transform(train, test) for train, test in plan]
-               for transform in transforms]
+    members = [[transform(train, test) for train, test in plan] for transform in transforms]
     if cfg.classifier == "mlp":
         models = iter(mlp_train_many([train for pairs in members for train, _ in pairs],
                                      cfg.mlp))
@@ -265,22 +265,15 @@ class SubsetObjective:
         self.calls = 0
 
 
-def loo_knn_accuracy(d: Dataset, subset: FeatureSubset, k_neighbors: int = 1) -> float:
-    """Leave-one-out kNN accuracy percent on the chosen columns.
-
-    Fully deterministic: no folds, no RNG. Each row is predicted by
-    knn_predict's rule from the other n-1 rows, with k clamped to n-1
-    (equidistant neighbors prefer the lower sample index, tied votes the
-    lowest class id), so exhaustive-search oracles are exactly repeatable.
-    """
-    return LeaveOneOutObjective(d, k_neighbors).evaluate(subset).accuracy_percent
-
-
 class LeaveOneOutObjective(SubsetObjective):
     """Deterministic LOO-kNN objective with the SubsetObjective interface.
 
-    Only the scoring step differs; `config` names the kNN, and consumers
-    that cross-validate on their own (pca_run) read its fold settings.
+    No folds and no RNG: each row is predicted by knn_predict's rule from
+    the other n-1 rows, with k clamped to n-1 (equidistant neighbors prefer
+    the lower sample index, tied votes the lowest class id), so
+    exhaustive-search oracles are exactly repeatable. Only the scoring step
+    differs; `config` names the kNN, and consumers that cross-validate on
+    their own (pca_run) read its fold settings.
     """
 
     def __init__(self, dataset: Dataset, k_neighbors: int = 1) -> None:

@@ -16,7 +16,6 @@ from subsetharmony import (
     FeatureSubset,
     GaConfig,
     Harmony,
-    HarmonyMemory,
     HsConfig,
     LeaveOneOutObjective,
     MlpConfig,
@@ -28,23 +27,28 @@ from subsetharmony import (
     derive_seed,
     ga_run,
     hs_run,
-    improvise,
-    initialize_memory,
     mlp_gradient,
     mlp_loss,
     mlp_predict,
     mlp_train,
     pca_fit,
     pso_run,
-    random_subset,
-    replace_worst,
     write_csv,
 )
-from subsetharmony.classifiers import MlpModel
 from subsetharmony.dataset import Dataset
+from subsetharmony.harmony import (
+    HarmonyMemory,
+    RunLog,
+    improvise,
+    initialize_memory,
+    random_subset,
+    replace_worst,
+)
 from subsetharmony.harness import read_comparison_csv, read_fractions_csv, read_grid_csv
 from subsetharmony.synth import planted_dataset
 from subsetharmony import cli
+
+from mlp_reference import initial_model
 
 
 def test_1_enumeration_oracle_optimality(tiny8, tiny8_scores, criterion):
@@ -114,11 +118,11 @@ def test_3_harmony_invariant_suite(tiny8, criterion):
         cfg = HsConfig(n_features=8, subset_size=3, hms=6, max_iterations=60,
                        seed=1)
         rng = np.random.default_rng(cfg.seed)
-        memory = initialize_memory(cfg, obj, rng)
+        memory = initialize_memory(cfg, RunLog(obj), rng)
         for _ in range(cfg.max_iterations):
             s = improvise(memory, cfg, rng)
             replace_worst(memory, Harmony(s, float(obj(s))))
-            assert memory.size == cfg.hms
+            assert len(memory.harmonies) == cfg.hms
             assert all(h.subset.k == 3 for h in memory.harmonies)
 
         # 10^4 fuzzed improvisations always emit distinct in-range indices
@@ -173,8 +177,7 @@ def test_4_mlp_gradient_check_and_xor(criterion):
             n_in = int(rng.integers(1, 6))
             n_hid = int(rng.integers(1, 7))
             n_out = int(rng.integers(2, 5))
-            model = MlpModel.initialize(n_in, n_hid, n_out,
-                                        seed=int(rng.integers(0, 10**6)))
+            model = initial_model(n_in, n_hid, n_out, int(rng.integers(0, 10**6)))
             x = rng.standard_normal(n_in)
             y = int(rng.integers(n_out))
             g = mlp_gradient(model, x, y)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,17 @@ class TestPcaFit:
                     tuple(f"f{i}" for i in range(4)), ("a", "b"))
         model = pca_fit(d, 4)
         assert np.allclose(model.eigenvalues, 1.0, atol=1e-8)
+
+    def test_one_row_has_zero_variance_and_an_orthonormal_component(self):
+        # a covariance of one row would divide by n - 1 = 0; it is zero instead
+        d = Dataset(np.array([[1.0, 2.0, 3.0]]), np.array([0]), ("a", "b", "c"), ("x",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = pca_fit(d, 1)
+        assert model.eigenvalues.tolist() == [0.0]
+        assert model.components.shape == (3, 1)
+        assert model.components[:, 0] @ model.components[:, 0] == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(model.means, d.features[0])
 
     def test_r_out_of_range(self):
         d = _line_dataset()

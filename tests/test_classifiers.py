@@ -32,7 +32,10 @@ from subsetharmony.classifiers import (
 )
 from subsetharmony.dataset import standardize, stratified_kfold, take_rows
 from subsetharmony.synth import blob_dataset
-from subsetharmony.wrapper import cross_validate
+from subsetharmony.subsets import FeatureSubset
+from subsetharmony.wrapper import evaluate_subset
+
+from mlp_reference import initial_model
 
 
 def _xor() -> Dataset:
@@ -82,18 +85,24 @@ class TestDefaultHidden:
         assert default_hidden_neurons(65, 2) == 34
 
 
+def _initial_weights(seed: int) -> MlpModel:
+    """The weights training starts from: one epoch at learning rate 0 keeps them."""
+    d = Dataset(np.zeros((2, 4)), np.array([0, 1]), ("a", "b", "c", "d"), ("x", "y"))
+    return mlp_train(d, MlpConfig(hidden_neurons=3, learning_rate=0.0, epochs=1, seed=seed))
+
+
 class TestInitialization:
     def test_deterministic_and_bounded(self):
-        a = MlpModel.initialize(4, 3, 2, seed=11)
-        b = MlpModel.initialize(4, 3, 2, seed=11)
+        a = _initial_weights(11)
+        b = _initial_weights(11)
         for x, y in zip((a.w_hidden, a.b_hidden, a.w_out, a.b_out),
                         (b.w_hidden, b.b_hidden, b.w_out, b.b_out)):
             assert np.array_equal(x, y)
             assert np.all(np.abs(x) <= 0.5)
 
     def test_seed_changes_weights(self):
-        a = MlpModel.initialize(4, 3, 2, seed=11)
-        b = MlpModel.initialize(4, 3, 2, seed=12)
+        a = _initial_weights(11)
+        b = _initial_weights(12)
         assert not np.array_equal(a.w_hidden, b.w_hidden)
 
 
@@ -102,7 +111,7 @@ class TestTraining:
         d = _xor()
         cfg = MlpConfig(hidden_neurons=3, learning_rate=0.0, epochs=1, seed=4)
         trained = mlp_train(d, cfg)
-        init = MlpModel.initialize(d.n_features, 3, d.n_classes, seed=4)
+        init = initial_model(d.n_features, 3, d.n_classes, 4)
         assert np.array_equal(trained.w_hidden, init.w_hidden)
         assert np.array_equal(trained.b_hidden, init.b_hidden)
         assert np.array_equal(trained.w_out, init.w_out)
@@ -147,7 +156,7 @@ class TestTraining:
                     tuple(f"c{j}" for j in range(c)))
         trained = mlp_train(d, MlpConfig(hidden_neurons=hidden, learning_rate=lr,
                                          momentum=0.0, epochs=1, seed=seed))
-        init = MlpModel.initialize(f, hidden, c, seed=seed)
+        init = initial_model(f, hidden, c, seed)
         g = mlp_gradient(init, x, label)
         for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
             want = getattr(init, name) - lr * getattr(g, name)
@@ -168,8 +177,7 @@ class TestGradient:
             n_in = int(rng.integers(1, 6))
             n_hid = int(rng.integers(1, 7))
             n_out = int(rng.integers(2, 5))
-            model = MlpModel.initialize(n_in, n_hid, n_out,
-                                        seed=int(rng.integers(0, 10**6)))
+            model = initial_model(n_in, n_hid, n_out, int(rng.integers(0, 10**6)))
             x = rng.standard_normal(n_in)
             y = int(rng.integers(n_out))
             g = mlp_gradient(model, x, y)
@@ -215,7 +223,7 @@ class TestPrediction:
         assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_feature_mismatch_rejected(self):
-        model = MlpModel.initialize(3, 2, 2, seed=0)
+        model = initial_model(3, 2, 2, 0)
         d = _xor()
         with pytest.raises(ValueError):
             mlp_predict(model, d)
@@ -558,9 +566,8 @@ def _sequential_train(train: Dataset, cfg: MlpConfig) -> MlpModel:
     """Reference: one network, one sample per step, one weight array per layer."""
     hidden_n = cfg.hidden_neurons or default_hidden_neurons(train.n_features, train.n_classes)
     rng = np.random.default_rng(cfg.seed)
-    f, c = train.n_features, train.n_classes
-    w = [rng.uniform(-0.5, 0.5, size=shape) for shape in ((f, hidden_n), hidden_n,
-                                                          (hidden_n, c), c)]
+    init = initial_model(train.n_features, hidden_n, train.n_classes, rng)
+    w = [init.w_hidden, init.b_hidden, init.w_out, init.b_out]
     v = [np.zeros_like(a) for a in w]
     for _ in range(cfg.epochs):
         for i in rng.permutation(train.n_samples):
@@ -659,7 +666,7 @@ class TestLockstep:
             _assert_same_bits(model, reference)
         correct = [int((mlp_predict(m, test) == test.labels).sum())
                    for m, (_, test) in zip(references, pairs)]
-        [result] = cross_validate(d, cfg)
+        result = evaluate_subset(d, FeatureSubset(range(d.n_features)), cfg)
         assert result.correct_count == sum(correct)
         assert result.per_fold_accuracy == tuple(
             100.0 * c / test.n_samples for c, (_, test) in zip(correct, pairs))
@@ -679,7 +686,7 @@ class TestLockstep:
             # the first fold diverges last, so fold-by-fold training would name it
             assert epochs[0] > min(epochs)
             with pytest.raises(TrainingDivergedError, match=f"at epoch {min(epochs)}$"):
-                cross_validate(d, cfg)
+                evaluate_subset(d, FeatureSubset(range(d.n_features)), cfg)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one dataset"):

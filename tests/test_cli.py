@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from subsetharmony import cli, harness
+from subsetharmony import baselines, cli, harness
 from subsetharmony.harness import read_comparison_csv, read_fractions_csv, read_grid_csv
 
 
@@ -289,7 +289,7 @@ class TestConfigAndEnv:
         code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
                                      "--k", "3", "--config", str(cfg)])
         assert code == 1
-        assert err.startswith("error: unrecognized arguments: --standardize off\n")
+        assert err == f"error: {cfg}:1: unknown key 'standardize'\n"
 
     def test_malformed_line_names_location(self, tmp_path, capsys, tiny8_path):
         cfg = tmp_path / "run.cfg"
@@ -313,6 +313,30 @@ class TestConfigAndEnv:
         code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
                                      "--k", "3", "--config", str(cfg)])
         assert code == 1
+        assert err == f"error: {cfg}:1: unknown key 'vibes'\n"
+
+    @pytest.mark.parametrize("key", ["fold", "hm", "help", "config"])
+    def test_key_must_name_a_value_flag_in_full(self, tmp_path, capsys, tiny8_path, key):
+        # a prefix of one flag (--folds) or of several (--hms, --hmcr) is no key, and
+        # neither is a flag that would print help or name another config file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"learning_rate = 0.2\n{key} = 4\n")
+        code, _, err = _run(capsys, ["select", "--data", str(tiny8_path), "--k", "3",
+                                     *FAST, "--config", str(cfg)])
+        assert code == 1
+        assert err == f"error: {cfg}:2: unknown key '{key}'\n"
+
+    def test_key_names_a_flag_of_its_own_subcommand(self, tmp_path, capsys, tiny8_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("folds = 2\nlearning_rate = 0.2\nhms = 5\n")
+        spec = cli.parse_args(["select", "--data", str(tiny8_path), "--k", "3",
+                               "--config", str(cfg)])
+        assert (spec.folds, spec.learning_rate, spec.hms) == (2, 0.2, 5)
+        # eval has no --hms
+        code, _, err = _run(capsys, ["eval", "--data", str(tiny8_path), "--features", "0",
+                                     *FAST, "--config", str(cfg)])
+        assert code == 1
+        assert err == f"error: {cfg}:3: unknown key 'hms'\n"
 
     def test_missing_config_file(self, capsys, tiny8_path):
         code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
@@ -400,6 +424,23 @@ class TestMainFlows:
         lines = out.splitlines()
         assert lines[0].startswith("components: ")
         assert lines[1].startswith("accuracy: ")
+
+    def test_pca_fitted_on_one_row_per_fold(self, capsys, tmp_path, monkeypatch):
+        # one class of two rows over two folds: each fold trains PCA on a single row
+        data = tmp_path / "one.csv"
+        data.write_text("a,b,label\n1.0,2.0,x\n3.0,5.0,x\n")
+        fitted = []
+        real = baselines.pca_fit
+
+        def spy(d, r):
+            fitted.append(d.n_samples)
+            return real(d, r)
+
+        monkeypatch.setattr(baselines, "pca_fit", spy)
+        code, out, err = _run(capsys, ["pca", "--data", str(data), "--classifier", "knn",
+                                       "--folds", "2"])
+        assert (code, out, err) == (0, "components: 1\naccuracy: 100.00\n", "")
+        assert fitted == [1, 1]
 
     def test_eval(self, capsys, tiny8_path):
         code, out, _ = _run(capsys, [

@@ -10,7 +10,6 @@ from subsetharmony import (
     FeatureSubset,
     GaConfig,
     Harmony,
-    HarmonyMemory,
     HsConfig,
     LeaveOneOutObjective,
     MlpConfig,
@@ -20,17 +19,20 @@ from subsetharmony import (
     SubsetObjective,
     ga_run,
     hs_run,
-    improvise,
-    initialize_memory,
-    pitch_adjust,
     pso_run,
-    random_subset,
-    replace_worst,
 )
 from subsetharmony import baselines, harmony
 from subsetharmony.baselines import VELOCITY_CLAMP, _repair_to_k
 from subsetharmony.classifiers import _sigmoid
-from subsetharmony.harmony import RunLog
+from subsetharmony.harmony import (
+    HarmonyMemory,
+    RunLog,
+    improvise,
+    initialize_memory,
+    pitch_adjust,
+    random_subset,
+    replace_worst,
+)
 from subsetharmony.synth import planted_dataset
 
 
@@ -85,25 +87,22 @@ class TestTypes:
 
     def test_run_history_rejects_decreasing_best(self):
         with pytest.raises(ValueError):
-            RunHistory((5.0, 4.0), (1.0, 1.0), (False, False),
-                       Harmony(FeatureSubset((0,)), 5.0), 2)
+            RunHistory((5.0, 4.0), (1.0, 1.0), (False, False), 2)
 
 
 class TestMemory:
     def test_accessors(self):
         m = _memory(((2, 0), 10.0), ((1, 3), 30.0), ((0, 1), 20.0))
-        assert m.size == 3
+        assert len(m.harmonies) == 3
         assert m.subset_size == 2
         assert m.column(0) == [2, 1, 0]
         assert m.column(1) == [0, 3, 1]
         assert m.column_union() == {0, 1, 2, 3}
-        assert m.best().fitness == 30.0
         assert m.worst_index() == 0
         assert m.worst().fitness == 10.0
 
     def test_ties_resolve_to_first_row(self):
         m = _memory(((0,), 50.0), ((1,), 50.0), ((2,), 50.0))
-        assert m.best().subset.indices == (0,)
         assert m.worst_index() == 0
 
     def test_mixed_sizes_rejected(self):
@@ -115,8 +114,7 @@ class TestMemory:
     def test_replace(self):
         m = _memory(((0,), 10.0), ((1,), 30.0))
         m.replace(0, Harmony(FeatureSubset((2,)), 40.0))
-        assert m.harmonies[0].subset.indices == (2,)
-        assert m.best().fitness == 40.0
+        assert m.harmonies[0] == Harmony(FeatureSubset((2,)), 40.0)
 
 
 class TestPitchAdjust:
@@ -270,11 +268,13 @@ class TestImprovise:
 class TestMemoryUpdates:
     def test_initialize_memory(self):
         cfg = HsConfig(n_features=15, subset_size=4, hms=7, seed=3)
-        mem = initialize_memory(cfg, lambda s: float(sum(s.indices)))
-        assert mem.size == 7
+        mem = initialize_memory(cfg, RunLog(lambda s: float(sum(s.indices))),
+                                np.random.default_rng(cfg.seed))
+        assert len(mem.harmonies) == 7
         assert all(h.subset.k == 4 for h in mem.harmonies)
         assert all(h.fitness == sum(h.subset.indices) for h in mem.harmonies)
-        again = initialize_memory(cfg, lambda s: float(sum(s.indices)))
+        again = initialize_memory(cfg, RunLog(lambda s: float(sum(s.indices))),
+                                  np.random.default_rng(cfg.seed))
         assert [h.subset.key for h in again.harmonies] == [
             h.subset.key for h in mem.harmonies]
 
@@ -317,7 +317,7 @@ class TestHsRun:
         assert len(hist.best_fitness) == rows
         assert all(b2 >= b1 for b1, b2 in zip(hist.best_fitness,
                                               hist.best_fitness[1:]))
-        assert hist.best_fitness[-1] == best.fitness == hist.best.fitness
+        assert hist.best_fitness[-1] == best.fitness
         # the run's best is at least every fitness it ever saw
         assert best.fitness == max(score(k) for k in calls)
         # and it is the first subset scored at that fitness
@@ -338,15 +338,15 @@ class TestHsRun:
         cfg = HsConfig(n_features=8, subset_size=3, hms=6, max_iterations=50,
                        seed=2)
         rng = np.random.default_rng(cfg.seed)
-        memory = initialize_memory(cfg, obj, rng)
-        best = memory.best()
+        memory = initialize_memory(cfg, RunLog(obj), rng)
+        best = max(memory.harmonies, key=lambda h: h.fitness)
         for _ in range(cfg.max_iterations):
             subset = improvise(memory, cfg, rng)
             candidate = Harmony(subset, float(obj(subset)))
             replace_worst(memory, candidate)
             if candidate.fitness > best.fitness:
                 best = candidate
-            assert memory.size == cfg.hms
+            assert len(memory.harmonies) == cfg.hms
             assert all(h.subset.k == 3 for h in memory.harmonies)
         assert all(best.fitness >= h.fitness for h in memory.harmonies)
 

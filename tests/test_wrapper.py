@@ -25,7 +25,6 @@ from subsetharmony import (
     evaluate_subset,
     ga_run,
     hs_run,
-    loo_knn_accuracy,
     pso_run,
     wrapper,
 )
@@ -80,8 +79,6 @@ class TestConfidenceInterval:
             confidence_interval(1.5, 10)
         with pytest.raises(ValueError):
             confidence_interval(0.5, 0)
-        with pytest.raises(ValueError):
-            confidence_interval(0.5, 10, level=1.0)
 
 
 class TestEvaluationResult:
@@ -410,18 +407,18 @@ class TestLeaveOneOut:
         k = data.draw(st.integers(1, d.n_samples + 2))
         subset = FeatureSubset(tuple(range(d.n_features)))
         expected = accuracy(_explicit_loo_correct(d, k), d.n_samples)
-        assert loo_knn_accuracy(d, subset, k) == expected
+        assert LeaveOneOutObjective(d, k)(subset) == expected
 
     def test_hand_example(self):
         # 0 and 2 are mutual nearest neighbors (same class); 10 sits alone,
         # its nearest neighbor 2 has the other label -> 2/3 correct
         d = Dataset(np.array([[0.0], [10.0], [2.0]]), np.array([0, 1, 0]),
                     ("f",), ("a", "b"))
-        got = loo_knn_accuracy(d, FeatureSubset((0,)))
+        got = LeaveOneOutObjective(d)(FeatureSubset((0,)))
         assert got == pytest.approx(100.0 * 2 / 3)
 
     def test_perfect_on_separated_blobs(self, blobs):
-        assert loo_knn_accuracy(blobs, FeatureSubset((0, 1, 2, 3))) == 100.0
+        assert LeaveOneOutObjective(blobs)(FeatureSubset((0, 1, 2, 3))) == 100.0
 
     def test_objective_caches_and_counts(self, tiny8):
         obj = LeaveOneOutObjective(tiny8)
@@ -439,11 +436,11 @@ class TestLeaveOneOut:
         r = LeaveOneOutObjective(d).evaluate(FeatureSubset((0,)))
         assert (r.correct_count, r.total_count) == (2, 3)
         assert r.per_fold_accuracy == (r.accuracy_percent,)
-        assert r.accuracy_percent == loo_knn_accuracy(d, FeatureSubset((0,)))
+        assert r.accuracy_percent == accuracy(2, 3)
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_below_one_rejected(self, tiny8, k):
         # no neighbor votes at k=0, and a negative k would slice off the
         # farthest rows instead, so neither may return a number
         with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
-            loo_knn_accuracy(tiny8, FeatureSubset((0, 1)), k)
+            LeaveOneOutObjective(tiny8, k)(FeatureSubset((0, 1)))
