@@ -30,6 +30,13 @@ console_script() {
     2> err.txt || status=$?
   test "$status" -eq 1
   grep -q "prefix.cfg:2: unknown key 'fold'" err.txt
+  # a key given twice is refused with both of its lines
+  printf 'classifier = knn\nfolds = 2\nfolds = 5\n' > repeat.cfg
+  status=0
+  subsetharmony eval --data "$tiny8" --features 0,1,2 --config repeat.cfg \
+    2> err.txt || status=$?
+  test "$status" -eq 1
+  grep -qF "repeat.cfg:3: repeated key 'folds' (first on line 2)" err.txt
 }
 
 goldens() {

@@ -205,13 +205,15 @@ def _build_parser() -> _Parser:
 def _config_file_args(path: str, sub: argparse.ArgumentParser) -> list[str]:
     """The file's key = value lines as sub's flags.
 
-    Each key must be a long flag of sub in full; --help and --config are not keys.
+    Each key must be a long flag of sub in full, given once (`_` and `-` spell
+    one key); --help and --config are not keys.
     """
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
     flags = {opt for action in sub._actions if action.dest not in ("help", "config")
              for opt in action.option_strings if opt.startswith("--")}
     args: list[str] = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -226,6 +228,10 @@ def _config_file_args(path: str, sub: argparse.ArgumentParser) -> list[str]:
             flag = "--" + key.replace("_", "-")
             if flag not in flags:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            if flag in first_line:
+                raise UsageError(f"{path}:{lineno}: repeated key {key!r} "
+                                 f"(first on line {first_line[flag]})")
+            first_line[flag] = lineno
             args.extend([flag, value.strip()])
     return args
 

@@ -70,43 +70,6 @@ class HsConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
-class HarmonyMemory:
-    """Fixed-capacity pool of evaluated harmonies."""
-
-    def __init__(self, harmonies: list[Harmony]) -> None:
-        if not harmonies:
-            raise ValueError("harmony memory must not be empty")
-        k = harmonies[0].subset.k
-        if any(h.subset.k != k for h in harmonies):
-            raise ValueError("all harmonies must share one subset size")
-        self._harmonies = list(harmonies)
-
-    @property
-    def harmonies(self) -> tuple[Harmony, ...]:
-        return tuple(self._harmonies)
-
-    @property
-    def subset_size(self) -> int:
-        return self._harmonies[0].subset.k
-
-    def column(self, slot: int) -> list[int]:
-        """Values stored at one slot across all memory rows (with repeats)."""
-        return [h.subset.indices[slot] for h in self._harmonies]
-
-    def column_union(self) -> set[int]:
-        return {i for h in self._harmonies for i in h.subset.indices}
-
-    def worst_index(self) -> int:
-        fitnesses = [h.fitness for h in self._harmonies]
-        return int(np.argmin(fitnesses))
-
-    def worst(self) -> Harmony:
-        return self._harmonies[self.worst_index()]
-
-    def replace(self, index: int, harmony: Harmony) -> None:
-        self._harmonies[index] = harmony
-
-
 @dataclass(frozen=True)
 class RunHistory:
     """Per-iteration trace of one optimizer run."""
@@ -230,7 +193,7 @@ def pitch_adjust(value: int, band: float, eps: float, forbidden: set[int], n_fea
     return value
 
 
-def improvise(memory: HarmonyMemory, cfg: HsConfig, rng: np.random.Generator) -> FeatureSubset:
+def improvise(memory: list[Harmony], cfg: HsConfig, rng: np.random.Generator) -> FeatureSubset:
     """Construct one new candidate subset, slot by slot.
 
     Each slot draws from its own memory column (values already chosen at
@@ -241,15 +204,19 @@ def improvise(memory: HarmonyMemory, cfg: HsConfig, rng: np.random.Generator) ->
     unchosen feature from the memory, so that pure memory consideration
     never invents indices the memory cannot justify; one is always left, as
     every row holds subset_size distinct features and fewer are chosen
-    before the last slot. A memory whose subsets do not fit cfg's
-    subset_size or n_features is rejected.
+    before the last slot. An empty memory, or one whose subsets do not fit
+    cfg's subset_size or n_features, is a ValueError.
     """
-    if memory.subset_size != cfg.subset_size:
-        raise ValueError(f"memory holds {memory.subset_size}-feature subsets, "
-                         f"config has subset_size={cfg.subset_size}")
-    top = max(memory.column_union())
-    if top >= cfg.n_features:
-        raise ValueError(f"memory holds feature index {top}, "
+    rows = [h.subset.indices for h in memory]
+    if not rows:
+        raise ValueError("harmony memory must not be empty")
+    for row in rows:
+        if len(row) != cfg.subset_size:
+            raise ValueError(f"memory holds {len(row)}-feature subsets, "
+                             f"config has subset_size={cfg.subset_size}")
+    union = {i for row in rows for i in row}
+    if max(union) >= cfg.n_features:
+        raise ValueError(f"memory holds feature index {max(union)}, "
                          f"config has n_features={cfg.n_features}")
     chosen: list[int] = []
     chosen_set: set[int] = set()
@@ -257,8 +224,7 @@ def improvise(memory: HarmonyMemory, cfg: HsConfig, rng: np.random.Generator) ->
         m1 = rng.random()
         value: int | None = None
         if m1 < cfg.hmcr:
-            column = memory.column(slot)
-            admissible = [v for v in column if v not in chosen_set]
+            admissible = [row[slot] for row in rows if row[slot] not in chosen_set]
             if admissible:
                 value = int(admissible[rng.integers(len(admissible))])
                 m2 = rng.random()
@@ -266,7 +232,7 @@ def improvise(memory: HarmonyMemory, cfg: HsConfig, rng: np.random.Generator) ->
                     eps = float(rng.uniform(-1.0, 1.0))
                     value = pitch_adjust(value, cfg.bandwidth, eps, chosen_set, cfg.n_features)
             else:
-                pool = sorted(memory.column_union() - chosen_set)
+                pool = sorted(union - chosen_set)
                 value = int(pool[rng.integers(len(pool))])
         else:
             pool = [i for i in range(cfg.n_features) if i not in chosen_set]
@@ -282,8 +248,8 @@ def random_subset(n_features: int, k: int, rng: np.random.Generator) -> FeatureS
     return FeatureSubset(tuple(int(i) for i in indices))
 
 
-def initialize_memory(cfg: HsConfig, log: RunLog, rng: np.random.Generator) -> HarmonyMemory:
-    """Fill the memory with hms random subsets, scored through the run's log.
+def initialize_memory(cfg: HsConfig, log: RunLog, rng: np.random.Generator) -> list[Harmony]:
+    """The harmony memory: hms random subsets, scored through the run's log.
 
     The draws do not depend on any score, so all hms subsets are drawn
     first and scored in draw order as one batch (RunLog.score). Whole-subset
@@ -292,14 +258,14 @@ def initialize_memory(cfg: HsConfig, log: RunLog, rng: np.random.Generator) -> H
     """
     subsets = [random_subset(cfg.n_features, cfg.subset_size, rng) for _ in range(cfg.hms)]
     fitnesses = log.score(subsets)
-    return HarmonyMemory([Harmony(s, f) for s, f in zip(subsets, fitnesses)])
+    return [Harmony(s, f) for s, f in zip(subsets, fitnesses)]
 
 
-def replace_worst(memory: HarmonyMemory, candidate: Harmony) -> bool:
-    """Replace the worst memory entry iff the candidate strictly beats it."""
-    worst_idx = memory.worst_index()
-    if candidate.fitness > memory.harmonies[worst_idx].fitness:
-        memory.replace(worst_idx, candidate)
+def replace_worst(memory: list[Harmony], candidate: Harmony) -> bool:
+    """Replace the worst memory row (the first, on ties) iff the candidate strictly beats it."""
+    worst = min(range(len(memory)), key=lambda i: memory[i].fitness)
+    if candidate.fitness > memory[worst].fitness:
+        memory[worst] = candidate
         return True
     return False
 
@@ -327,7 +293,7 @@ def hs_run(cfg: HsConfig, objective) -> tuple[Harmony, RunHistory]:
 
     def accept(_: int, subset: FeatureSubset, fitness: float) -> bool:
         replaced = replace_worst(memory, Harmony(subset, fitness))
-        log.end_iteration(memory.worst().fitness, replaced)
+        log.end_iteration(min(h.fitness for h in memory), replaced)
         return replaced
 
     speculate(log, rng, cfg.max_iterations, DEPTH, propose, accept)

@@ -37,7 +37,6 @@ from subsetharmony import (
 )
 from subsetharmony.dataset import Dataset
 from subsetharmony.harmony import (
-    HarmonyMemory,
     RunLog,
     improvise,
     initialize_memory,
@@ -122,8 +121,8 @@ def test_3_harmony_invariant_suite(tiny8, criterion):
         for _ in range(cfg.max_iterations):
             s = improvise(memory, cfg, rng)
             replace_worst(memory, Harmony(s, float(obj(s))))
-            assert len(memory.harmonies) == cfg.hms
-            assert all(h.subset.k == 3 for h in memory.harmonies)
+            assert len(memory) == cfg.hms
+            assert all(h.subset.k == 3 for h in memory)
 
         # 10^4 fuzzed improvisations always emit distinct in-range indices
         fuzz = np.random.default_rng(99)
@@ -138,7 +137,7 @@ def test_3_harmony_invariant_suite(tiny8, criterion):
             )
             rows = [Harmony(random_subset(n, k, fuzz),
                             float(fuzz.uniform(0, 100))) for _ in range(hms)]
-            s = improvise(HarmonyMemory(rows), fcfg, fuzz)
+            s = improvise(rows, fcfg, fuzz)
             assert len(set(s.indices)) == k
             assert all(0 <= i < n for i in s.indices)
 
@@ -149,22 +148,21 @@ def test_3_harmony_invariant_suite(tiny8, criterion):
                                           hist.best_fitness[1:]))
 
         # pure memory consideration never leaves the memory's value set
-        mem = HarmonyMemory([
+        mem = [
             Harmony(FeatureSubset((0, 3, 6)), 10.0),
             Harmony(FeatureSubset((1, 4, 6)), 20.0),
             Harmony(FeatureSubset((2, 5, 8)), 30.0),
-        ])
-        union = mem.column_union()
+        ]
+        union = {i for h in mem for i in h.subset.indices}
         ccfg = HsConfig(n_features=30, subset_size=3, hms=3, hmcr=1.0, par=0.0)
         crng = np.random.default_rng(5)
         for _ in range(1_000):
             assert set(improvise(mem, ccfg, crng).indices) <= union
 
         # a tie with the worst member must not replace it
-        tied = HarmonyMemory([Harmony(FeatureSubset((0,)), 10.0),
-                              Harmony(FeatureSubset((1,)), 30.0)])
+        tied = [Harmony(FeatureSubset((0,)), 10.0), Harmony(FeatureSubset((1,)), 30.0)]
         assert replace_worst(tied, Harmony(FeatureSubset((2,)), 10.0)) is False
-        assert tied.harmonies[0].subset.indices == (0,)
+        assert tied[0].subset.indices == (0,)
 
 
 def test_4_mlp_gradient_check_and_xor(criterion):

@@ -338,6 +338,19 @@ class TestConfigAndEnv:
         assert code == 1
         assert err == f"error: {cfg}:3: unknown key 'hms'\n"
 
+    @pytest.mark.parametrize("text, repeat", [
+        ("classifier = knn\nfolds = 2\nfolds = 5\n", "3: repeated key 'folds' (first on line 2)"),
+        ("learning_rate = 0.2\n# one key, two spellings\nlearning-rate = 0.5\n",
+         "3: repeated key 'learning-rate' (first on line 1)"),
+    ], ids=["same-spelling", "underscore-and-dash"])
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys, tiny8_path, text, repeat):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = _run(capsys, ["eval", "--data", str(tiny8_path), "--features",
+                                       "0,1,2", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:{repeat}\n"
+
     def test_missing_config_file(self, capsys, tiny8_path):
         code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
                                      "--k", "3", "--config", "/nope.cfg"])

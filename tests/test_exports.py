@@ -2,8 +2,9 @@
 
 import subsetharmony
 
-# harmony-search internals, still importable from subsetharmony.harmony, and the
-# leave-one-out wrapper that LeaveOneOutObjective replaces
+# HarmonyMemory (the memory is a plain list), the harmony-search internals still
+# importable from subsetharmony.harmony, and the leave-one-out wrapper that
+# LeaveOneOutObjective replaces
 REMOVED = ("HarmonyMemory", "improvise", "initialize_memory", "pitch_adjust",
            "random_subset", "replace_worst", "loo_knn_accuracy")
 

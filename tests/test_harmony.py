@@ -25,7 +25,6 @@ from subsetharmony import baselines, harmony
 from subsetharmony.baselines import VELOCITY_CLAMP, _repair_to_k
 from subsetharmony.classifiers import _sigmoid
 from subsetharmony.harmony import (
-    HarmonyMemory,
     RunLog,
     improvise,
     initialize_memory,
@@ -56,8 +55,80 @@ def _reference_index_walk(value, band, eps, forbidden, n_features):
     return value
 
 
+class _ReferenceMemory:
+    """The harmony memory as a class, as written before it became a plain list."""
+
+    def __init__(self, harmonies):
+        if not harmonies:
+            raise ValueError("harmony memory must not be empty")
+        k = harmonies[0].subset.k
+        if any(h.subset.k != k for h in harmonies):
+            raise ValueError("all harmonies must share one subset size")
+        self._harmonies = list(harmonies)
+
+    @property
+    def harmonies(self):
+        return tuple(self._harmonies)
+
+    @property
+    def subset_size(self):
+        return self._harmonies[0].subset.k
+
+    def column(self, slot):
+        return [h.subset.indices[slot] for h in self._harmonies]
+
+    def column_union(self):
+        return {i for h in self._harmonies for i in h.subset.indices}
+
+    def worst_index(self):
+        return int(np.argmin([h.fitness for h in self._harmonies]))
+
+    def replace(self, index, harmony):
+        self._harmonies[index] = harmony
+
+
+def _reference_improvise(memory, cfg, rng):
+    """improvise over _ReferenceMemory, as written before the memory became a list."""
+    if memory.subset_size != cfg.subset_size:
+        raise ValueError(f"memory holds {memory.subset_size}-feature subsets, "
+                         f"config has subset_size={cfg.subset_size}")
+    top = max(memory.column_union())
+    if top >= cfg.n_features:
+        raise ValueError(f"memory holds feature index {top}, "
+                         f"config has n_features={cfg.n_features}")
+    chosen, chosen_set = [], set()
+    for slot in range(cfg.subset_size):
+        m1 = rng.random()
+        if m1 < cfg.hmcr:
+            admissible = [v for v in memory.column(slot) if v not in chosen_set]
+            if admissible:
+                value = int(admissible[rng.integers(len(admissible))])
+                m2 = rng.random()
+                if m2 < cfg.par:
+                    eps = float(rng.uniform(-1.0, 1.0))
+                    value = pitch_adjust(value, cfg.bandwidth, eps, chosen_set, cfg.n_features)
+            else:
+                pool = sorted(memory.column_union() - chosen_set)
+                value = int(pool[rng.integers(len(pool))])
+        else:
+            pool = [i for i in range(cfg.n_features) if i not in chosen_set]
+            value = int(pool[rng.integers(len(pool))])
+        chosen.append(value)
+        chosen_set.add(value)
+    return FeatureSubset(tuple(chosen))
+
+
+def _reference_replace_worst(memory, candidate):
+    """replace_worst over _ReferenceMemory, as written before the memory became a list."""
+    worst_idx = memory.worst_index()
+    if candidate.fitness > memory.harmonies[worst_idx].fitness:
+        memory.replace(worst_idx, candidate)
+        return True
+    return False
+
+
 def _memory(*rows):
-    return HarmonyMemory([Harmony(FeatureSubset(s), f) for s, f in rows])
+    return [Harmony(FeatureSubset(s), f) for s, f in rows]
 
 
 class TestTypes:
@@ -88,33 +159,6 @@ class TestTypes:
     def test_run_history_rejects_decreasing_best(self):
         with pytest.raises(ValueError):
             RunHistory((5.0, 4.0), (1.0, 1.0), (False, False), 2)
-
-
-class TestMemory:
-    def test_accessors(self):
-        m = _memory(((2, 0), 10.0), ((1, 3), 30.0), ((0, 1), 20.0))
-        assert len(m.harmonies) == 3
-        assert m.subset_size == 2
-        assert m.column(0) == [2, 1, 0]
-        assert m.column(1) == [0, 3, 1]
-        assert m.column_union() == {0, 1, 2, 3}
-        assert m.worst_index() == 0
-        assert m.worst().fitness == 10.0
-
-    def test_ties_resolve_to_first_row(self):
-        m = _memory(((0,), 50.0), ((1,), 50.0), ((2,), 50.0))
-        assert m.worst_index() == 0
-
-    def test_mixed_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            _memory(((0, 1), 10.0), ((2,), 20.0))
-        with pytest.raises(ValueError):
-            HarmonyMemory([])
-
-    def test_replace(self):
-        m = _memory(((0,), 10.0), ((1,), 30.0))
-        m.replace(0, Harmony(FeatureSubset((2,)), 40.0))
-        assert m.harmonies[0] == Harmony(FeatureSubset((2,)), 40.0)
 
 
 class TestPitchAdjust:
@@ -220,7 +264,7 @@ class TestImprovise:
 
     def test_pure_memory_closure(self):
         m = _memory(((0, 3, 6), 10.0), ((1, 4, 6), 20.0), ((2, 5, 8), 30.0))
-        union = m.column_union()
+        union = {0, 1, 2, 3, 4, 5, 6, 8}
         cfg = HsConfig(n_features=30, subset_size=3, hms=3, hmcr=1.0, par=0.0)
         rng = np.random.default_rng(8)
         for _ in range(1_000):
@@ -239,6 +283,11 @@ class TestImprovise:
         ([((0, 1), 50.0)], 3, 0.0, "2-feature subsets, config has subset_size=3"),
         ([((0, 9), 50.0)], 2, 0.0, "feature index 9, config has n_features=8"),
         ([((0, 9), 50.0)], 2, 1.0, "feature index 9, config has n_features=8"),
+        ([], 2, 0.0, "harmony memory must not be empty"),
+        # mixed sizes: a later row that does not fit is found as well as the first
+        ([((0, 1), 10.0), ((2,), 20.0)], 2, 0.0, "1-feature subsets, config has subset_size=2"),
+        ([((0, 1), 10.0), ((2,), 20.0)], 1, 0.0, "2-feature subsets, config has subset_size=1"),
+        ([((0, 1), 50.0), ((8, 2), 10.0)], 2, 0.0, "feature index 8, config has n_features=8"),
     ])
     def test_memory_that_does_not_fit_the_config_is_rejected(self, rows, subset_size,
                                                              par, match):
@@ -259,7 +308,7 @@ class TestImprovise:
             )
             rows = [Harmony(random_subset(n, k, rng), float(rng.uniform(0, 100)))
                     for _ in range(hms)]
-            s = improvise(HarmonyMemory(rows), cfg, rng)
+            s = improvise(rows, cfg, rng)
             assert s.k == k
             assert len(set(s.indices)) == k
             assert all(0 <= i < n for i in s.indices)
@@ -270,22 +319,59 @@ class TestMemoryUpdates:
         cfg = HsConfig(n_features=15, subset_size=4, hms=7, seed=3)
         mem = initialize_memory(cfg, RunLog(lambda s: float(sum(s.indices))),
                                 np.random.default_rng(cfg.seed))
-        assert len(mem.harmonies) == 7
-        assert all(h.subset.k == 4 for h in mem.harmonies)
-        assert all(h.fitness == sum(h.subset.indices) for h in mem.harmonies)
+        assert len(mem) == 7
+        assert all(h.subset.k == 4 for h in mem)
+        assert all(h.fitness == sum(h.subset.indices) for h in mem)
         again = initialize_memory(cfg, RunLog(lambda s: float(sum(s.indices))),
                                   np.random.default_rng(cfg.seed))
-        assert [h.subset.key for h in again.harmonies] == [
-            h.subset.key for h in mem.harmonies]
+        assert again == mem
 
     def test_replace_worst_strictly_better_only(self):
         m = _memory(((0,), 10.0), ((1,), 30.0))
         assert replace_worst(m, Harmony(FeatureSubset((2,)), 10.0)) is False
-        assert m.harmonies[0].subset.indices == (0,)
+        assert m == _memory(((0,), 10.0), ((1,), 30.0))
         assert replace_worst(m, Harmony(FeatureSubset((2,)), 9.0)) is False
         assert replace_worst(m, Harmony(FeatureSubset((2,)), 10.5)) is True
-        assert m.harmonies[0].subset.indices == (2,)
-        assert m.worst().fitness == 10.5
+        assert m == _memory(((2,), 10.5), ((1,), 30.0))
+
+    def test_ties_replace_the_first_worst_row(self):
+        m = _memory(((0,), 50.0), ((1,), 20.0), ((2,), 50.0), ((3,), 20.0))
+        assert replace_worst(m, Harmony(FeatureSubset((4,)), 30.0)) is True
+        assert m == _memory(((0,), 50.0), ((4,), 30.0), ((2,), 50.0), ((3,), 20.0))
+        assert replace_worst(m, Harmony(FeatureSubset((5,)), 60.0)) is True
+        assert m == _memory(((0,), 50.0), ((4,), 30.0), ((2,), 50.0), ((5,), 60.0))
+        tied = _memory(((0,), 50.0), ((1,), 50.0), ((2,), 50.0))
+        assert replace_worst(tied, Harmony(FeatureSubset((3,)), 51.0)) is True
+        assert tied == _memory(((3,), 51.0), ((1,), 50.0), ((2,), 50.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_list_memory_matches_class_reference(self, data):
+        n = data.draw(st.integers(1, 12), label="n_features")
+        k = data.draw(st.integers(1, n), label="subset_size")
+        hms = data.draw(st.integers(1, 6), label="hms")
+        # few distinct fitnesses, so worst-row ties are common
+        fitness = st.sampled_from([0.0, 20.0, 50.0, 100.0])
+        rows = [Harmony(FeatureSubset(data.draw(st.permutations(range(n)))[:k]),
+                        data.draw(fitness)) for _ in range(hms)]
+        cfg = HsConfig(n_features=n, subset_size=k, hms=hms,
+                       hmcr=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), label="hmcr"),
+                       par=data.draw(st.floats(0.0, 1.0), label="par"),
+                       bandwidth=data.draw(st.floats(0.25, 4.0), label="bandwidth"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        memory, reference = list(rows), _ReferenceMemory(rows)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            subset = improvise(memory, cfg, rng)
+            assert subset == _reference_improvise(reference, cfg, reference_rng)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+            candidate = Harmony(subset, data.draw(fitness))
+            before, worst = list(memory), reference.worst_index()
+            replaced = replace_worst(memory, candidate)
+            assert replaced == _reference_replace_worst(reference, candidate)
+            assert [i for i, h in enumerate(memory) if h is not before[i]] == (
+                [worst] if replaced else [])
+            assert memory == list(reference.harmonies)
 
 
 # optimizer -> (run function, config, objective calls, history rows)
@@ -339,16 +425,16 @@ class TestHsRun:
                        seed=2)
         rng = np.random.default_rng(cfg.seed)
         memory = initialize_memory(cfg, RunLog(obj), rng)
-        best = max(memory.harmonies, key=lambda h: h.fitness)
+        best = max(memory, key=lambda h: h.fitness)
         for _ in range(cfg.max_iterations):
             subset = improvise(memory, cfg, rng)
             candidate = Harmony(subset, float(obj(subset)))
             replace_worst(memory, candidate)
             if candidate.fitness > best.fitness:
                 best = candidate
-            assert len(memory.harmonies) == cfg.hms
-            assert all(h.subset.k == 3 for h in memory.harmonies)
-        assert all(best.fitness >= h.fitness for h in memory.harmonies)
+            assert len(memory) == cfg.hms
+            assert all(h.subset.k == 3 for h in memory)
+        assert all(best.fitness >= h.fitness for h in memory)
 
     def test_finds_exhaustive_optimum_on_small_problem(self, tiny8, tiny8_scores):
         best_key = max(tiny8_scores, key=tiny8_scores.get)
@@ -370,11 +456,10 @@ def _sequential_hs_run(cfg: HsConfig, objective):
     for _ in range(cfg.hms):
         subset = random_subset(cfg.n_features, cfg.subset_size, rng)
         harmonies.append(Harmony(subset, log(subset)))
-    memory = HarmonyMemory(harmonies)
     for _ in range(cfg.max_iterations):
-        subset = improvise(memory, cfg, rng)
-        replaced = replace_worst(memory, Harmony(subset, log(subset)))
-        log.end_iteration(memory.worst().fitness, replaced)
+        subset = improvise(harmonies, cfg, rng)
+        replaced = replace_worst(harmonies, Harmony(subset, log(subset)))
+        log.end_iteration(min(h.fitness for h in harmonies), replaced)
     return log.result()
 
 
