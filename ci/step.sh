@@ -37,6 +37,21 @@ console_script() {
     2> err.txt || status=$?
   test "$status" -eq 1
   grep -qF "repeat.cfg:3: repeated key 'folds' (first on line 2)" err.txt
+  # a run is fixed by its command line and config file: SUBSETHARMONY_SEED
+  # changes nothing
+  subsetharmony select --data "$tiny8" --k 3 --classifier knn --folds 2 \
+    --iterations 20 > plain.txt
+  SUBSETHARMONY_SEED=7 subsetharmony select --data "$tiny8" --k 3 \
+    --classifier knn --folds 2 --iterations 20 > env.txt
+  cmp plain.txt env.txt
+  # a config file that is not UTF-8 is a usage error naming it, not a traceback
+  printf 'classifier = knn\nfolds = \377\n' > bad.cfg
+  status=0
+  subsetharmony eval --data "$tiny8" --features 0,1,2 --config bad.cfg \
+    2> err.txt || status=$?
+  test "$status" -eq 1
+  grep -qF "bad.cfg: not UTF-8 text" err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
 }
 
 goldens() {

@@ -145,7 +145,7 @@ def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
             children.append(FeatureSubset(tuple(genes)))
         population = [elite.subset] + children
         fitnesses = [elite.fitness, *log.score(children)]
-        log.end_iteration(min(fitnesses), log.best is not elite)
+        log.end_iteration(log.best is not elite)
     return log.result()
 
 
@@ -204,7 +204,6 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     pbest_fit = np.array([*log.score([subset(mask) for mask in positions])])
     gbest = log.best
     gbest_pos = pbest_pos[int(np.argmax(pbest_fit))].copy()
-    iter_fits = np.empty(cfg.particles)
 
     def propose(p: int) -> tuple[FeatureSubset, tuple[np.ndarray, np.ndarray]]:
         r1 = rng.random(n)
@@ -223,7 +222,6 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     def accept(p: int, move: tuple[np.ndarray, np.ndarray], fit: float) -> bool:
         nonlocal gbest, gbest_pos
         velocities[p], positions[p] = move
-        iter_fits[p] = fit
         if fit > pbest_fit[p]:
             pbest_fit[p] = fit
             pbest_pos[p] = positions[p]
@@ -235,7 +233,7 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     for _ in range(cfg.iterations):
         start_best = log.best
         speculate(log, rng, cfg.particles, cfg.particles, propose, accept)
-        log.end_iteration(float(iter_fits.min()), log.best is not start_best)
+        log.end_iteration(log.best is not start_best)
     return log.result()
 
 

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Precedence for every setting: command-line flag, then SUBSETHARMONY_SEED
-(seed only), then --config file entries, then built-in defaults. The config
-file is flat key=value text whose keys are the subcommand's long flag names,
-spelled out in full; --config, like any flag on the command line, may be
-abbreviated. parse_args only parses; main reads the dataset, then
-builds every config, whose classes range-check each value.
+Precedence for every setting: command-line flag, then --config file
+entries, then built-in defaults; no environment variable is read. The
+config file is flat key=value UTF-8 text (a byte-order mark is allowed)
+whose keys are the subcommand's long flag names, spelled out in full;
+--config, like any flag on the command line, may be abbreviated.
+parse_args only parses; main reads the dataset, then builds every config,
+whose classes range-check each value.
 
 Exit codes: 0 success, 1 usage or validation error, 2 data error,
 3 runtime failure.
@@ -34,8 +35,6 @@ from .harness import (
 from .seeding import derive_seed
 from .subsets import FeatureSubset
 from .wrapper import CLASSIFIERS, ObjectiveConfig, SubsetObjective, confidence_interval
-
-ENV_SEED = "SUBSETHARMONY_SEED"
 
 # The one definition of each flag that sets a config field, in --help order:
 # (flag, config class, field, help, the argparse keywords the field's default
@@ -212,27 +211,31 @@ def _config_file_args(path: str, sub: argparse.ArgumentParser) -> list[str]:
         raise UsageError(f"config file not found: {path}")
     flags = {opt for action in sub._actions if action.dest not in ("help", "config")
              for opt in action.option_strings if opt.startswith("--")}
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
     args: list[str] = []
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise UsageError(f"{path}:{lineno}: empty key")
-            flag = "--" + key.replace("_", "-")
-            if flag not in flags:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            if flag in first_line:
-                raise UsageError(f"{path}:{lineno}: repeated key {key!r} "
-                                 f"(first on line {first_line[flag]})")
-            first_line[flag] = lineno
-            args.extend([flag, value.strip()])
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key:
+            raise UsageError(f"{path}:{lineno}: empty key")
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if flag in first_line:
+            raise UsageError(f"{path}:{lineno}: repeated key {key!r} "
+                             f"(first on line {first_line[flag]})")
+        first_line[flag] = lineno
+        args.extend([flag, value.strip()])
     return args
 
 
@@ -253,19 +256,8 @@ def _config_path(sub: argparse.ArgumentParser, tokens: list[str]) -> str | None:
         return None
 
 
-def _env_seed_args() -> list[str]:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return []
-    try:
-        int(raw)
-    except ValueError:
-        raise UsageError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-    return ["--seed", raw]
-
-
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse flags, SUBSETHARMONY_SEED and --config into one namespace.
+    """Parse flags and --config into one namespace.
 
     For report commands the namespace's `output` gets its format-dependent
     default, and an output path that is a directory, lies in a missing
@@ -281,10 +273,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     command, rest = argv[0], list(argv[1:])
     sub = parser.commands.get(command)
     config_path = None if sub is None else _config_path(sub, rest)
-    injected: list[str] = []
-    if config_path is not None:
-        injected.extend(_config_file_args(config_path, sub))
-    injected.extend(_env_seed_args())
+    injected = [] if config_path is None else _config_file_args(config_path, sub)
     ns = parser.parse_args([command] + injected + rest)
 
     if not os.path.isfile(ns.data):

@@ -79,10 +79,6 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    @property
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_classes)
-
 
 def load_csv(path: str | Path, label_column: str) -> Dataset:
     """Load a plain comma-separated file into a Dataset.
@@ -96,7 +92,10 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"no such file: {path}")
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise DatasetError(f"{path}: empty file")
     header = [cell.strip() for cell in lines[0].split(",")]

@@ -75,13 +75,11 @@ class RunHistory:
     """Per-iteration trace of one optimizer run."""
 
     best_fitness: tuple[float, ...]
-    worst_fitness: tuple[float, ...]
     replaced: tuple[bool, ...]
     evaluations: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "best_fitness", tuple(self.best_fitness))
-        object.__setattr__(self, "worst_fitness", tuple(self.worst_fitness))
         object.__setattr__(self, "replaced", tuple(self.replaced))
         seq = self.best_fitness
         if any(later < earlier for earlier, later in zip(seq, seq[1:])):
@@ -97,8 +95,8 @@ class RunLog:
     prefetch, if any (SubsetObjective.prefetch), then yields the fitnesses
     in list order, each scored and counted only when read; so a loop that
     stops at the first accepted state change (speculate) scores no more.
-    end_iteration appends one history row: the best fitness so far, the
-    iteration's worst fitness, and the optimizer's replaced/improved flag.
+    end_iteration appends one history row: the best fitness so far and the
+    optimizer's replaced/improved flag.
     `batches` is the objective's own flag (SubsetObjective.batches), False
     for a plain callable: whether a batch scores faster than its members
     one at a time, and so whether speculate proposes ahead.
@@ -110,7 +108,7 @@ class RunLog:
         self.batches = bool(getattr(objective, "batches", False))
         self.calls = 0
         self.best: Harmony | None = None
-        self._rows: list[tuple[float, float, bool]] = []
+        self._rows: list[tuple[float, bool]] = []
 
     def __call__(self, subset: FeatureSubset) -> float:
         fitness = float(self._objective(subset))
@@ -124,12 +122,12 @@ class RunLog:
             self._prefetch(subsets)
         return map(self, subsets)
 
-    def end_iteration(self, worst: float, flag: bool) -> None:
-        self._rows.append((self.best.fitness, worst, flag))
+    def end_iteration(self, flag: bool) -> None:
+        self._rows.append((self.best.fitness, flag))
 
     def result(self) -> tuple[Harmony, RunHistory]:
-        best_fitness, worst_fitness, flags = zip(*self._rows)
-        return self.best, RunHistory(best_fitness, worst_fitness, flags, self.calls)
+        best_fitness, flags = zip(*self._rows)
+        return self.best, RunHistory(best_fitness, flags, self.calls)
 
 
 def speculate(log: RunLog, rng: np.random.Generator, steps: int, depth: int,
@@ -293,7 +291,7 @@ def hs_run(cfg: HsConfig, objective) -> tuple[Harmony, RunHistory]:
 
     def accept(_: int, subset: FeatureSubset, fitness: float) -> bool:
         replaced = replace_worst(memory, Harmony(subset, fitness))
-        log.end_iteration(min(h.fitness for h in memory), replaced)
+        log.end_iteration(replaced)
         return replaced
 
     speculate(log, rng, cfg.max_iterations, DEPTH, propose, accept)

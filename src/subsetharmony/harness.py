@@ -159,11 +159,7 @@ def fraction_to_size(pct: float, n_features: int) -> int:
     """floor(pct * n_features / 100), never below 1."""
     if not 0.0 < pct <= 100.0:
         raise ValueError(f"fraction percent must be in (0, 100], got {pct}")
-    if float(pct).is_integer():
-        k = (n_features * int(pct)) // 100
-    else:
-        k = math.floor(n_features * pct / 100.0)
-    return max(1, k)
+    return max(1, math.floor(n_features * pct / 100.0))
 
 
 def sweep_fractions(

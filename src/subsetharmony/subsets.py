@@ -41,9 +41,3 @@ class FeatureSubset:
     def key(self) -> tuple[int, ...]:
         """Canonical (sorted) form; subset identity for caching."""
         return tuple(sorted(self.indices))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)

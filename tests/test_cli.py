@@ -264,24 +264,21 @@ class TestConfigAndEnv:
         assert spec.iterations == 60
         assert spec.seed == 5
 
-    def test_env_overrides_config_but_not_flag(self, tmp_path, tiny8_path,
-                                               monkeypatch):
+    def test_flag_beats_config_beats_default_and_env_changes_nothing(
+            self, tmp_path, tiny8_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 5\n")
-        monkeypatch.setenv(cli.ENV_SEED, "7")
-        spec = cli.parse_args(["select", "--data", str(tiny8_path), "--k", "3",
-                               "--config", str(cfg)])
-        assert spec.seed == 7
-        spec = cli.parse_args(["select", "--data", str(tiny8_path), "--k", "3",
-                               "--config", str(cfg), "--seed", "9"])
-        assert spec.seed == 9
-
-    def test_bad_env_seed(self, monkeypatch, capsys, tiny8_path):
-        monkeypatch.setenv(cli.ENV_SEED, "banana")
-        code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
-                                     "--k", "3"])
-        assert code == 1
-        assert cli.ENV_SEED in err
+        base = ["select", "--data", str(tiny8_path), "--k", "3"]
+        cases = [(base, 0), (base + ["--config", str(cfg)], 5),
+                 (base + ["--config", str(cfg), "--seed", "9"], 9)]
+        unset = [vars(cli.parse_args(argv)) for argv, _ in cases]
+        # SUBSETHARMONY_SEED, well-formed or not, is not read
+        for value in ("7", "banana"):
+            monkeypatch.setenv("SUBSETHARMONY_SEED", value)
+            for (argv, seed), expected in zip(cases, unset):
+                spec = cli.parse_args(argv)
+                assert spec.seed == seed
+                assert vars(spec) == expected
 
     def test_removed_scoring_key_is_unrecognized(self, tmp_path, capsys, tiny8_path):
         cfg = tmp_path / "run.cfg"
@@ -350,6 +347,24 @@ class TestConfigAndEnv:
                                        "0,1,2", "--config", str(cfg)])
         assert (code, out) == (1, "")
         assert err == f"error: {cfg}:{repeat}\n"
+
+    def test_byte_order_mark_is_allowed(self, tmp_path, capsys, tiny8_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text("classifier = knn\nfolds = 2\n", encoding="utf-8")
+        marked.write_text("classifier = knn\nfolds = 2\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        runs = [_run(capsys, ["eval", "--data", str(tiny8_path), "--features", "0,1,2",
+                              "--config", str(path)]) for path in (plain, marked)]
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    def test_undecodable_config_is_a_usage_error(self, tmp_path, capsys, tiny8_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"classifier = knn\nfolds = \xff\n")
+        code, out, err = _run(capsys, ["eval", "--data", str(tiny8_path), "--features",
+                                       "0,1,2", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}: not UTF-8 text (invalid start byte)\n"
 
     def test_missing_config_file(self, capsys, tiny8_path):
         code, _, err = _run(capsys, ["select", "--data", str(tiny8_path),
@@ -497,6 +512,14 @@ class TestErrorExitCodes:
         code, _, err = _run(capsys, ["select", "--data", str(bad), "--k", "1",
                                      *FAST])
         assert code == 2
+
+    def test_undecodable_csv_is_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b,label\n1,2,x\n3,\xff,y\n")
+        code, out, err = _run(capsys, ["eval", "--data", str(bad), "--features", "0",
+                                       *FAST])
+        assert (code, out) == (2, "")
+        assert err == f"data error: {bad}: not UTF-8 text (invalid start byte)\n"
 
     # the objective's fields, checked by ObjectiveConfig, MlpConfig and KnnConfig
     @pytest.mark.parametrize("flag, value, field", [

@@ -158,7 +158,7 @@ class TestTypes:
 
     def test_run_history_rejects_decreasing_best(self):
         with pytest.raises(ValueError):
-            RunHistory((5.0, 4.0), (1.0, 1.0), (False, False), 2)
+            RunHistory((5.0, 4.0), (False, False), 2)
 
 
 class TestPitchAdjust:
@@ -416,7 +416,6 @@ class TestHsRun:
         b2, h2 = hs_run(cfg, LeaveOneOutObjective(tiny8))
         assert b1.subset.key == b2.subset.key
         assert h1.best_fitness == h2.best_fitness
-        assert h1.worst_fitness == h2.worst_fitness
         assert h1.replaced == h2.replaced
 
     def test_memory_size_constant_and_best_dominates(self, tiny8):
@@ -459,7 +458,7 @@ def _sequential_hs_run(cfg: HsConfig, objective):
     for _ in range(cfg.max_iterations):
         subset = improvise(harmonies, cfg, rng)
         replaced = replace_worst(harmonies, Harmony(subset, log(subset)))
-        log.end_iteration(min(h.fitness for h in harmonies), replaced)
+        log.end_iteration(replaced)
     return log.result()
 
 
@@ -529,7 +528,6 @@ def _sequential_pso_run(cfg: PsoConfig, objective):
     gbest_pos = pbest_pos[int(np.argmax(pbest_fit))].copy()
     for _ in range(cfg.iterations):
         start_best = log.best
-        iter_fits = np.empty(cfg.particles)
         for p in range(cfg.particles):
             r1 = rng.random(n)
             r2 = rng.random(n)
@@ -541,13 +539,13 @@ def _sequential_pso_run(cfg: PsoConfig, objective):
             prob = _sigmoid(velocities[p])
             positions[p] = _repair_to_k(rng.random(n) < prob, prob, k)
             gbest = log.best
-            iter_fits[p] = fit = score(positions[p])
+            fit = score(positions[p])
             if fit > pbest_fit[p]:
                 pbest_fit[p] = fit
                 pbest_pos[p] = positions[p]
             if log.best is not gbest:
                 gbest_pos = positions[p].copy()
-        log.end_iteration(float(iter_fits.min()), log.best is not start_best)
+        log.end_iteration(log.best is not start_best)
     return log.result()
 
 

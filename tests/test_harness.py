@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetharmony import harness
 from subsetharmony import (
@@ -29,6 +31,15 @@ from subsetharmony import (
 )
 
 
+def _reference_fraction_to_size(pct: float, n_features: int) -> int:
+    """The former two-branch rule: integral percents in integer arithmetic."""
+    if float(pct).is_integer():
+        k = (n_features * int(pct)) // 100
+    else:
+        k = math.floor(n_features * pct / 100.0)
+    return max(1, k)
+
+
 class TestFractionToSize:
     def test_floor_rule_examples(self):
         assert fraction_to_size(75.0, 65) == 48
@@ -40,6 +51,20 @@ class TestFractionToSize:
         for n in range(1, 201):
             for pct in (15.0, 30.0, 45.0, 60.0, 75.0, 90.0):
                 assert fraction_to_size(pct, n) == max(1, math.floor(n * pct / 100.0))
+
+    def test_integral_percents_match_two_branch_reference(self):
+        # exhaustive, as the sizes a float rule could get wrong are rare
+        for n in range(1, 2001):
+            for pct in range(1, 101):
+                expected = _reference_fraction_to_size(pct, n)
+                assert fraction_to_size(pct, n) == fraction_to_size(float(pct), n) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(n=st.one_of(st.integers(1, 20_000), st.integers(1, 10**9)),
+           pct=st.one_of(st.integers(1, 100), st.integers(1, 100).map(float),
+                         st.floats(0.0, 100.0, exclude_min=True)))
+    def test_one_rule_matches_two_branch_reference(self, n, pct):
+        assert fraction_to_size(pct, n) == _reference_fraction_to_size(pct, n)
 
     def test_non_integral_percent(self):
         assert fraction_to_size(12.5, 64) == 8

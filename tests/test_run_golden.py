@@ -2,7 +2,7 @@
 
 Each case runs one optimizer on the tiny8 fixture under the deterministic
 leave-one-out 1-NN objective and pins the best subset, its fitness, the
-per-iteration best/worst fitness and replaced/improved flags, and the
+per-iteration best fitness and replaced/improved flags, and the
 evaluation count, and checks that a repeated run returns an equal result.
 To re-record after an intended change, run
 `PYTHONPATH=src python tests/test_run_golden.py` from the repository root
@@ -48,7 +48,6 @@ def _record(case: str) -> dict:
         "indices": list(best.subset.indices),
         "fitness": best.fitness,
         "best_fitness": list(history.best_fitness),
-        "worst_fitness": list(history.worst_fitness),
         "replaced": list(history.replaced),
         "evaluations": history.evaluations,
     }
