@@ -23,6 +23,20 @@ console_script() {
     --no-standardize 2> err.txt || status=$?
   test "$status" -eq 1
   grep -q "unrecognized arguments: --no-standardize" err.txt
+  # harmony search flips inclusion bits, so there is no pitch bandwidth to set,
+  # by flag or by config-file key
+  status=0
+  subsetharmony select --data "$tiny8" --k 3 --classifier knn --bandwidth 1.0 \
+    2> err.txt || status=$?
+  test "$status" -eq 1
+  grep -q "unrecognized arguments: --bandwidth 1.0" err.txt
+  printf 'classifier = knn\nbandwidth = 1.0\n' > bandwidth.cfg
+  status=0
+  subsetharmony select --data "$tiny8" --k 3 --config bandwidth.cfg \
+    2> err.txt || status=$?
+  test "$status" -eq 1
+  grep -qF "bandwidth.cfg:2: unknown key 'bandwidth'" err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
   # a config-file key is a long flag name in full, not a prefix of one
   printf 'classifier = knn\nfold = 2\n' > prefix.cfg
   status=0

@@ -27,8 +27,6 @@ from .classifiers import (
     TrainingDivergedError,
     default_hidden_neurons,
     knn_predict,
-    mlp_gradient,
-    mlp_loss,
     mlp_predict,
     mlp_train,
 )
@@ -116,8 +114,6 @@ __all__ = [
     "hs_run",
     "knn_predict",
     "load_csv",
-    "mlp_gradient",
-    "mlp_loss",
     "mlp_predict",
     "mlp_train",
     "pca_fit",

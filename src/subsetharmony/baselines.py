@@ -17,7 +17,8 @@ from .classifiers import _sigmoid
 # benchmark tracing patches take_rows, standardize and stratified_kfold here, so they
 # stay imported
 from .dataset import Dataset, standardize, stratified_kfold, take_rows  # noqa: F401
-from .harmony import Harmony, RunHistory, RunLog, random_subset, speculate
+from .harmony import (Harmony, RunHistory, RunLog, _repair_to_k, mask_subset, random_subset,
+                      speculate)
 from .subsets import FeatureSubset, check_subset_size
 from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, cross_validate, fold_plan
 
@@ -149,28 +150,6 @@ def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
     return log.result()
 
 
-def _repair_to_k(selected: np.ndarray, prob: np.ndarray, k: int) -> np.ndarray:
-    """Force a sampled inclusion mask to exactly k ones.
-
-    Surplus drops the lowest-probability selected dims; deficit adds the
-    highest-probability unselected dims. Probability ties resolve to the
-    lower dimension index.
-    """
-    n = len(selected)
-    mask = selected.copy()
-    count = int(mask.sum())
-    if count > k:
-        dims = np.flatnonzero(mask)
-        keep = dims[np.lexsort((dims, -prob[dims]))][:k]
-        mask = np.zeros(n, dtype=bool)
-        mask[keep] = True
-    elif count < k:
-        dims = np.flatnonzero(~mask)
-        add = dims[np.lexsort((dims, -prob[dims]))][: k - count]
-        mask[add] = True
-    return mask
-
-
 def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     """Binary PSO over inclusion masks, repaired to exactly k features.
 
@@ -197,11 +176,8 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
         positions[p, rng.choice(n, size=k, replace=False)] = True
     velocities = np.zeros((cfg.particles, n))
 
-    def subset(mask: np.ndarray) -> FeatureSubset:
-        return FeatureSubset(tuple(int(i) for i in np.flatnonzero(mask)))
-
     pbest_pos = positions.copy()
-    pbest_fit = np.array([*log.score([subset(mask) for mask in positions])])
+    pbest_fit = np.array([*log.score([mask_subset(mask) for mask in positions])])
     gbest = log.best
     gbest_pos = pbest_pos[int(np.argmax(pbest_fit))].copy()
 
@@ -217,7 +193,7 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
         np.clip(velocity, -VELOCITY_CLAMP, VELOCITY_CLAMP, out=velocity)
         prob = _sigmoid(velocity)
         mask = _repair_to_k(rng.random(n) < prob, prob, k)
-        return subset(mask), (velocity, mask)
+        return mask_subset(mask), (velocity, mask)
 
     def accept(p: int, move: tuple[np.ndarray, np.ndarray], fit: float) -> bool:
         nonlocal gbest, gbest_pos

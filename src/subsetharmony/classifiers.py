@@ -93,16 +93,6 @@ class MlpModel:
         return self.w_hidden.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class MlpGradients:
-    """Gradient of the per-sample cross-entropy w.r.t. every parameter."""
-
-    w_hidden: np.ndarray
-    b_hidden: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-
 # 0-d operands for the step's ufunc calls: numpy takes them faster than Python
 # floats, which it converts on every call (0.9 against 1.3 us per call on
 # (12, 1, 3) arrays, 2-vCPU Xeon VM)
@@ -187,8 +177,8 @@ def _sgd_step(head: _Head, x: np.ndarray, x_t: np.ndarray, target: np.ndarray,
     and targets are one-hot (k, 1, c). Writes the softmax output into probs
     and lr times the cross-entropy gradients into head.g, then steps
     v <- momentum*v - lr*grad, w <- w + v. Scaling g in place gives the
-    bits of lr * g without a temporary; at lr = 1 and k = 1, head.g is what
-    mlp_gradient reports.
+    bits of lr * g without a temporary; at lr = 1 and k = 1, head.g is the
+    per-sample cross-entropy gradient.
     """
     w1, b1, w2, b2 = head.w
     d_w1, d_b1, d_w2, d_b2 = head.g
@@ -324,30 +314,6 @@ def mlp_predict(model: MlpModel, samples: Dataset) -> np.ndarray:
         )
     _, probs = _forward(model, samples.features)
     return np.argmax(probs, axis=1).astype(np.int64)
-
-
-def mlp_gradient(model: MlpModel, sample: np.ndarray, label: int) -> MlpGradients:
-    """Analytic cross-entropy gradient for one sample.
-
-    Exposed so the backprop step mlp_train applies can be checked against
-    central finite differences: it runs that step kernel on a copy of the
-    weights at B = 1, learning rate 1 and momentum 0, and reads its gradients.
-    """
-    dims = (model.n_features, model.hidden_neurons, model.n_classes)
-    w = np.concatenate([np.ravel(a) for a in
-                        (model.w_hidden, model.b_hidden, model.w_out, model.b_out)])
-    head = _Head(w, np.zeros_like(w), np.empty_like(w), 1, 1, dims)
-    x = np.asarray(sample, dtype=np.float64).reshape(1, 1, -1)
-    target = np.eye(model.n_classes)[[[label]]]
-    _sgd_step(head, x, x.swapaxes(1, 2), target, np.empty_like(target), _ONE, _ZERO)
-    d_w1, d_b1, d_w2, d_b2 = head.g
-    return MlpGradients(w_hidden=d_w1[0], b_hidden=d_b1[0, 0], w_out=d_w2[0], b_out=d_b2[0, 0])
-
-
-def mlp_loss(model: MlpModel, sample: np.ndarray, label: int) -> float:
-    """Per-sample cross-entropy, the quantity mlp_gradient differentiates."""
-    _, probs = _forward(model, np.asarray(sample, dtype=np.float64))
-    return float(-np.log(probs[label]))
 
 
 # query rows per block are sized so one (q, t) distance plane holds about

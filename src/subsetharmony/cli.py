@@ -55,8 +55,7 @@ _FLAGS = (
      {"type": int}),
     ("hms", HsConfig, "hms", "harmony memory size", {}),
     ("hmcr", HsConfig, "hmcr", "memory considering rate", {}),
-    ("par", HsConfig, "par", "pitch adjusting rate", {}),
-    ("bandwidth", HsConfig, "bandwidth", "pitch bandwidth", {}),
+    ("par", HsConfig, "par", "flip probability of an inclusion bit drawn from memory", {}),
     ("iterations", HsConfig, "max_iterations", "HS improvisations", {}),
     ("population", GaConfig, "population", "GA chromosomes", {}),
     ("generations", GaConfig, "generations", "GA generations", {}),

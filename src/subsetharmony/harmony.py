@@ -1,18 +1,17 @@
 """Discrete harmony search over fixed-size feature subsets.
 
-A solution ("harmony") assigns one distinct feature index to each of k
-slots ("musicians"). New candidates are improvised slot by slot: with
-probability HMCR the slot copies a value stored at the same slot across
-the harmony memory, optionally nudged to a neighbouring feature index
-with probability PAR; otherwise the slot draws a fresh random feature.
-Already-chosen values are excluded throughout, so every improvisation is
-a valid distinct-index subset. A candidate replaces the worst memory
+A solution ("harmony") is a set of k distinct feature indices, read as one
+inclusion bit per feature. New candidates are improvised by binary memory
+consideration (Diao & Shen 2012; Ramos et al. 2011): with probability HMCR
+a feature takes its bit from a random memory row, flipped with probability
+PAR; otherwise the bit is drawn true with probability k/n. The mask is
+repaired to exactly k features by how many memory rows include each one,
+the repair the binary PSO uses too. A candidate replaces the worst memory
 entry only on strict fitness improvement.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Any
@@ -42,9 +41,8 @@ class Harmony:
 class HsConfig:
     """Harmony search parameters.
 
-    hmcr is the probability a slot draws from the memory, par the
-    probability a memory draw is pitch-adjusted to a neighbouring feature
-    index (pitch_adjust), bandwidth the scale of that move in indices.
+    hmcr is the probability a feature's inclusion bit is drawn from the
+    memory, and par the probability such a bit is flipped (improvise).
     """
 
     n_features: int
@@ -52,7 +50,6 @@ class HsConfig:
     hms: int = 20
     hmcr: float = 0.7
     par: float = 0.3
-    bandwidth: float = 1.0
     max_iterations: int = 100
     seed: int = 0
 
@@ -64,8 +61,6 @@ class HsConfig:
             raise ValueError(f"hmcr must be in [0,1], got {self.hmcr}")
         if not 0.0 <= self.par <= 1.0:
             raise ValueError(f"par must be in [0,1], got {self.par}")
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
-            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -168,42 +163,18 @@ def speculate(log: RunLog, rng: np.random.Generator, steps: int, depth: int,
                 break
 
 
-def pitch_adjust(value: int, band: float, eps: float, forbidden: set[int], n_features: int) -> int:
-    """Move a feature index to a nearby free one on the line range(n_features).
-
-    The step is round(band * eps) indices, or one index in eps's direction
-    where that rounds to zero, so left and right are equally likely under
-    symmetric eps. From the clamped candidate, a forbidden index or value
-    itself probes outward (+1, -1, +2, -2, ...) to the nearest free index;
-    with none free, value is returned. A bad eps or value is a ValueError.
-    """
-    if not -1.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [-1,1], got {eps}")
-    if value not in range(n_features):
-        raise ValueError(f"value {value} not in range({n_features})")
-    step = int(np.rint(band * eps))
-    if step == 0 and eps != 0.0:
-        step = 1 if eps > 0 else -1
-    candidate = min(max(value + step, 0), n_features - 1)
-    for probe in (candidate + sign * delta for delta in range(n_features + 1) for sign in (1, -1)):
-        if 0 <= probe < n_features and probe != value and probe not in forbidden:
-            return probe
-    return value
-
-
 def improvise(memory: list[Harmony], cfg: HsConfig, rng: np.random.Generator) -> FeatureSubset:
-    """Construct one new candidate subset, slot by slot.
+    """Construct one new candidate subset from per-feature inclusion bits.
 
-    Each slot draws from its own memory column (values already chosen at
-    earlier slots are inadmissible) with probability hmcr, else uniformly
-    from all unchosen features. Memory draws are pitch-adjusted along the
-    feature-index line with probability par (pitch_adjust). An exhausted
-    column (every stored value already chosen) falls back to a random
-    unchosen feature from the memory, so that pure memory consideration
-    never invents indices the memory cannot justify; one is always left, as
-    every row holds subset_size distinct features and fewer are chosen
-    before the last slot. An empty memory, or one whose subsets do not fit
-    cfg's subset_size or n_features, is a ValueError.
+    Feature j's bit is, with probability hmcr, its bit in a uniformly drawn
+    memory row, flipped with probability par; otherwise it is true with
+    probability k/n. The mask is then repaired to exactly k features
+    (_repair_to_k), ranked by how many memory rows include each feature,
+    with ties broken at random from rng. So with hmcr = 1 and par = 0 every
+    chosen feature lies in the union of the memory rows: each bit is some
+    row's bit, and the union, which holds at least k features, outranks the
+    rest. An empty memory, or one whose subsets do not fit cfg's
+    subset_size or n_features, is a ValueError.
     """
     rows = [h.subset.indices for h in memory]
     if not rows:
@@ -212,38 +183,50 @@ def improvise(memory: list[Harmony], cfg: HsConfig, rng: np.random.Generator) ->
         if len(row) != cfg.subset_size:
             raise ValueError(f"memory holds {len(row)}-feature subsets, "
                              f"config has subset_size={cfg.subset_size}")
-    union = {i for row in rows for i in row}
-    if max(union) >= cfg.n_features:
-        raise ValueError(f"memory holds feature index {max(union)}, "
+    members = np.array(rows)
+    if members.max() >= cfg.n_features:
+        raise ValueError(f"memory holds feature index {members.max()}, "
                          f"config has n_features={cfg.n_features}")
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    for slot in range(cfg.subset_size):
-        m1 = rng.random()
-        value: int | None = None
-        if m1 < cfg.hmcr:
-            admissible = [row[slot] for row in rows if row[slot] not in chosen_set]
-            if admissible:
-                value = int(admissible[rng.integers(len(admissible))])
-                m2 = rng.random()
-                if m2 < cfg.par:
-                    eps = float(rng.uniform(-1.0, 1.0))
-                    value = pitch_adjust(value, cfg.bandwidth, eps, chosen_set, cfg.n_features)
-            else:
-                pool = sorted(union - chosen_set)
-                value = int(pool[rng.integers(len(pool))])
-        else:
-            pool = [i for i in range(cfg.n_features) if i not in chosen_set]
-            value = int(pool[rng.integers(len(pool))])
-        chosen.append(value)
-        chosen_set.add(value)
-    return FeatureSubset(tuple(chosen))
+    n, k = cfg.n_features, cfg.subset_size
+    masks = np.zeros((len(rows), n), dtype=bool)
+    masks[np.arange(len(rows))[:, None], members] = True
+    recalled = rng.random(n) < cfg.hmcr
+    bits = masks[rng.integers(len(rows), size=n), np.arange(n)] ^ (rng.random(n) < cfg.par)
+    mask = np.where(recalled, bits, rng.random(n) < k / n)
+    return mask_subset(_repair_to_k(mask, masks.sum(axis=0) + rng.random(n), k))
 
 
 def random_subset(n_features: int, k: int, rng: np.random.Generator) -> FeatureSubset:
     """Uniformly random distinct-index subset of size k."""
     indices = rng.choice(n_features, size=k, replace=False)
     return FeatureSubset(tuple(int(i) for i in indices))
+
+
+def mask_subset(mask: np.ndarray) -> FeatureSubset:
+    """The subset of a boolean inclusion mask's true positions, in index order."""
+    return FeatureSubset(tuple(np.flatnonzero(mask).tolist()))
+
+
+def _repair_to_k(selected: np.ndarray, priority: np.ndarray, k: int) -> np.ndarray:
+    """Force an inclusion mask to exactly k ones; HS and the PSO both repair with it.
+
+    Surplus drops the lowest-priority selected dims; deficit adds the
+    highest-priority unselected dims. Priority ties resolve to the lower
+    dimension index.
+    """
+    n = len(selected)
+    mask = selected.copy()
+    count = int(mask.sum())
+    if count > k:
+        dims = np.flatnonzero(mask)
+        keep = dims[np.lexsort((dims, -priority[dims]))][:k]
+        mask = np.zeros(n, dtype=bool)
+        mask[keep] = True
+    elif count < k:
+        dims = np.flatnonzero(~mask)
+        add = dims[np.lexsort((dims, -priority[dims]))][: k - count]
+        mask[add] = True
+    return mask
 
 
 def initialize_memory(cfg: HsConfig, log: RunLog, rng: np.random.Generator) -> list[Harmony]:

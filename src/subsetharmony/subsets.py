@@ -17,9 +17,9 @@ def check_subset_size(n_features: int, subset_size: int) -> None:
 class FeatureSubset:
     """A fixed-cardinality set of distinct feature column indices.
 
-    The stored order is the encoding order (one slot per "musician" in the
-    harmony-search reading); set identity ignores it. Bounds against a
-    concrete feature count are checked where the subset is applied.
+    The stored order is the order an optimizer produced; set identity
+    ignores it. Bounds against a concrete feature count are checked where
+    the subset is applied.
     """
 
     indices: tuple[int, ...]

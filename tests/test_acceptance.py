@@ -11,6 +11,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetharmony import (
     FeatureSubset,
@@ -27,8 +29,6 @@ from subsetharmony import (
     derive_seed,
     ga_run,
     hs_run,
-    mlp_gradient,
-    mlp_loss,
     mlp_predict,
     mlp_train,
     pca_fit,
@@ -47,7 +47,7 @@ from subsetharmony.harness import read_comparison_csv, read_fractions_csv, read_
 from subsetharmony.synth import planted_dataset
 from subsetharmony import cli
 
-from mlp_reference import initial_model
+from mlp_reference import initial_model, mlp_gradient, mlp_loss
 
 
 def test_1_enumeration_oracle_optimality(tiny8, tiny8_scores, criterion):
@@ -109,7 +109,7 @@ def test_2_planted_relevance_recovery(criterion):
 
 def test_3_harmony_invariant_suite(tiny8, criterion):
     with criterion(3, "harmony-search invariants: constant memory size, valid "
-                      "fuzzed subsets, monotone best, column closure, "
+                      "fuzzed subsets, monotone best, union closure, "
                       "strict-tie non-replacement"):
         obj = LeaveOneOutObjective(tiny8)
 
@@ -133,7 +133,6 @@ def test_3_harmony_invariant_suite(tiny8, criterion):
             fcfg = HsConfig(
                 n_features=n, subset_size=k, hms=hms,
                 hmcr=float(fuzz.random()), par=float(fuzz.random()),
-                bandwidth=float(fuzz.uniform(0.25, 3.0)),
             )
             rows = [Harmony(random_subset(n, k, fuzz),
                             float(fuzz.uniform(0, 100))) for _ in range(hms)]
@@ -147,17 +146,22 @@ def test_3_harmony_invariant_suite(tiny8, criterion):
         assert all(b >= a for a, b in zip(hist.best_fitness,
                                           hist.best_fitness[1:]))
 
-        # pure memory consideration never leaves the memory's value set
-        mem = [
-            Harmony(FeatureSubset((0, 3, 6)), 10.0),
-            Harmony(FeatureSubset((1, 4, 6)), 20.0),
-            Harmony(FeatureSubset((2, 5, 8)), 30.0),
-        ]
-        union = {i for h in mem for i in h.subset.indices}
-        ccfg = HsConfig(n_features=30, subset_size=3, hms=3, hmcr=1.0, par=0.0)
-        crng = np.random.default_rng(5)
-        for _ in range(1_000):
-            assert set(improvise(mem, ccfg, crng).indices) <= union
+        # pure memory consideration never leaves the union of the memory rows
+        @settings(max_examples=300, deadline=None)
+        @given(data=st.data())
+        def union_closure(data):
+            n = data.draw(st.integers(1, 30), label="n_features")
+            k = data.draw(st.integers(1, n), label="subset_size")
+            hms = data.draw(st.integers(1, 8), label="hms")
+            rows = [Harmony(FeatureSubset(data.draw(st.permutations(range(n)))[:k]), 50.0)
+                    for _ in range(hms)]
+            union = {i for h in rows for i in h.subset.indices}
+            ucfg = HsConfig(n_features=n, subset_size=k, hms=hms, hmcr=1.0, par=0.0)
+            urng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            for _ in range(5):
+                assert set(improvise(rows, ucfg, urng).indices) <= union
+
+        union_closure()
 
         # a tie with the worst member must not replace it
         tied = [Harmony(FeatureSubset((0,)), 10.0), Harmony(FeatureSubset((1,)), 30.0)]

@@ -24,8 +24,6 @@ from subsetharmony.classifiers import (
     _sigmoid,
     default_hidden_neurons,
     knn_predict,
-    mlp_gradient,
-    mlp_loss,
     mlp_predict,
     mlp_train,
     mlp_train_many,
@@ -35,7 +33,7 @@ from subsetharmony.synth import blob_dataset
 from subsetharmony.subsets import FeatureSubset
 from subsetharmony.wrapper import evaluate_subset
 
-from mlp_reference import initial_model
+from mlp_reference import initial_model, mlp_gradient, mlp_loss
 
 
 def _xor() -> Dataset:

@@ -50,7 +50,7 @@ class TestParseArgs:
         assert spec.command == "select"
         assert spec.k == 48
         assert spec.optimizer == "hs"
-        assert (spec.hms, spec.hmcr, spec.par, spec.bandwidth) == (20, 0.7, 0.3, 1.0)
+        assert (spec.hms, spec.hmcr, spec.par) == (20, 0.7, 0.3)
         assert spec.iterations == 100
         objective = _objective_config(monkeypatch, spec)
         assert objective.classifier == "mlp"
@@ -287,6 +287,19 @@ class TestConfigAndEnv:
                                      "--k", "3", "--config", str(cfg)])
         assert code == 1
         assert err == f"error: {cfg}:1: unknown key 'standardize'\n"
+
+    def test_removed_bandwidth_flag_and_key_are_unrecognized(self, tmp_path, capsys,
+                                                             tiny8_path):
+        # a bit flip has no distance, so harmony search has no pitch bandwidth
+        argv = ["select", "--data", str(tiny8_path), "--k", "3"]
+        code, _, err = _run(capsys, argv + ["--bandwidth", "1.0"])
+        assert code == 1
+        assert "unrecognized arguments: --bandwidth 1.0" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bandwidth = 1.0\n")
+        code, _, err = _run(capsys, argv + ["--config", str(cfg)])
+        assert code == 1
+        assert err == f"error: {cfg}:1: unknown key 'bandwidth'\n"
 
     def test_malformed_line_names_location(self, tmp_path, capsys, tiny8_path):
         cfg = tmp_path / "run.cfg"

@@ -85,7 +85,6 @@ REJECTED = [
     ["select", "--k", "3", "--neighbors", "0"],
     ["select", "--k", "3", "--hms", "0"],
     ["select", "--k", "3", "--par", "-0.1"],
-    ["select", "--k", "3", "--bandwidth", "0"],
     ["select", "--k", "3", "--iterations", "0"],
     ["select", "--k", "3", "--population", "1"],
     ["select", "--k", "3", "--generations", "0"],
@@ -142,6 +141,45 @@ def test_non_finite_float_exits_1_before_any_search(argv, value, tmp_path, capsy
     *head, flag = argv
     assert _run([*head, f"{flag}={value}"], tmp_path)[0] == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# the subcommands that run harmony search; a bit flip has no distance, so none
+# of them takes a pitch bandwidth, as a flag or as a config-file key
+HS_COMMANDS = ["select", "grid", "compare", "fractions"]
+
+
+@pytest.mark.parametrize("command", HS_COMMANDS)
+def test_bandwidth_flag_is_unrecognized(command, tmp_path, capsys, monkeypatch):
+    def no_search(cfg, objective):
+        raise RuntimeError("a search ran")
+
+    for runner in ("hs_run", "ga_run", "pso_run", "pca_run"):
+        monkeypatch.setattr(harness, runner, no_search)
+    argv = [command, *_REQUIRED[command], "--bandwidth", "1.0"]
+    assert _run(argv, tmp_path)[0] == 1
+    assert "unrecognized arguments: --bandwidth 1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", HS_COMMANDS)
+def test_bandwidth_config_key_is_unknown(command, tmp_path, capsys, monkeypatch):
+    def no_search(cfg, objective):
+        raise RuntimeError("a search ran")
+
+    for runner in ("hs_run", "ga_run", "pso_run", "pca_run"):
+        monkeypatch.setattr(harness, runner, no_search)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\nbandwidth = 1.0\n", encoding="utf-8")
+    argv = [command, *_REQUIRED[command], "--config", str(cfg)]
+    assert _run(argv, tmp_path)[0] == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:2: unknown key 'bandwidth'\n"
+
+
+@pytest.mark.parametrize("command", HS_COMMANDS)
+def test_help_offers_par_as_a_bit_flip_and_no_bandwidth(command):
+    text = _SUBPARSERS[command].format_help()
+    assert "bandwidth" not in text
+    assert "flip probability of an inclusion bit drawn from memory" in " ".join(text.split())
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 import subsetharmony
 
 # HarmonyMemory (the memory is a plain list), the harmony-search internals still
-# importable from subsetharmony.harmony, and the leave-one-out wrapper that
-# LeaveOneOutObjective replaces
+# importable from subsetharmony.harmony (pitch_adjust is gone altogether), the
+# leave-one-out wrapper that LeaveOneOutObjective replaces, and the MLP gradient
+# oracle, which lives with the tests (tests/mlp_reference.py)
 REMOVED = ("HarmonyMemory", "improvise", "initialize_memory", "pitch_adjust",
-           "random_subset", "replace_worst", "loo_knn_accuracy")
+           "random_subset", "replace_worst", "loo_knn_accuracy", "mlp_gradient",
+           "mlp_loss", "MlpGradients")
 
 
 def test_every_exported_name_resolves_once():

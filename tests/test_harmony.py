@@ -22,37 +22,17 @@ from subsetharmony import (
     pso_run,
 )
 from subsetharmony import baselines, harmony
-from subsetharmony.baselines import VELOCITY_CLAMP, _repair_to_k
+from subsetharmony.baselines import VELOCITY_CLAMP
 from subsetharmony.classifiers import _sigmoid
 from subsetharmony.harmony import (
     RunLog,
+    _repair_to_k,
     improvise,
     initialize_memory,
-    pitch_adjust,
     random_subset,
     replace_worst,
 )
 from subsetharmony.synth import planted_dataset
-
-
-def _reference_index_walk(value, band, eps, forbidden, n_features):
-    """pitch_adjust on the index line, as written before the walks merged."""
-    step = int(np.rint(band * eps))
-    if step == 0 and eps != 0.0:
-        step = 1 if eps > 0 else -1
-    candidate = min(max(value + step, 0), n_features - 1)
-
-    def free(i):
-        return 0 <= i < n_features and i != value and i not in forbidden
-
-    if free(candidate):
-        return candidate
-    for delta in range(1, n_features + 1):
-        if free(candidate + delta):
-            return candidate + delta
-        if free(candidate - delta):
-            return candidate - delta
-    return value
 
 
 class _ReferenceMemory:
@@ -70,52 +50,11 @@ class _ReferenceMemory:
     def harmonies(self):
         return tuple(self._harmonies)
 
-    @property
-    def subset_size(self):
-        return self._harmonies[0].subset.k
-
-    def column(self, slot):
-        return [h.subset.indices[slot] for h in self._harmonies]
-
-    def column_union(self):
-        return {i for h in self._harmonies for i in h.subset.indices}
-
     def worst_index(self):
         return int(np.argmin([h.fitness for h in self._harmonies]))
 
     def replace(self, index, harmony):
         self._harmonies[index] = harmony
-
-
-def _reference_improvise(memory, cfg, rng):
-    """improvise over _ReferenceMemory, as written before the memory became a list."""
-    if memory.subset_size != cfg.subset_size:
-        raise ValueError(f"memory holds {memory.subset_size}-feature subsets, "
-                         f"config has subset_size={cfg.subset_size}")
-    top = max(memory.column_union())
-    if top >= cfg.n_features:
-        raise ValueError(f"memory holds feature index {top}, "
-                         f"config has n_features={cfg.n_features}")
-    chosen, chosen_set = [], set()
-    for slot in range(cfg.subset_size):
-        m1 = rng.random()
-        if m1 < cfg.hmcr:
-            admissible = [v for v in memory.column(slot) if v not in chosen_set]
-            if admissible:
-                value = int(admissible[rng.integers(len(admissible))])
-                m2 = rng.random()
-                if m2 < cfg.par:
-                    eps = float(rng.uniform(-1.0, 1.0))
-                    value = pitch_adjust(value, cfg.bandwidth, eps, chosen_set, cfg.n_features)
-            else:
-                pool = sorted(memory.column_union() - chosen_set)
-                value = int(pool[rng.integers(len(pool))])
-        else:
-            pool = [i for i in range(cfg.n_features) if i not in chosen_set]
-            value = int(pool[rng.integers(len(pool))])
-        chosen.append(value)
-        chosen_set.add(value)
-    return FeatureSubset(tuple(chosen))
 
 
 def _reference_replace_worst(memory, candidate):
@@ -149,7 +88,6 @@ class TestTypes:
             dict(n_features=5, subset_size=2, hms=0),
             dict(n_features=5, subset_size=2, hmcr=1.0001),
             dict(n_features=5, subset_size=2, par=-0.1),
-            dict(n_features=5, subset_size=2, bandwidth=0.0),
             dict(n_features=5, subset_size=2, max_iterations=0),
         ]
         for kw in cases:
@@ -161,62 +99,6 @@ class TestTypes:
             RunHistory((5.0, 4.0), (False, False), 2)
 
 
-class TestPitchAdjust:
-    def test_worked_examples(self):
-        # round(2 * 0.5) = 1 -> 5 + 1
-        assert pitch_adjust(5, 2.0, 0.5, set(), 20) == 6
-        # round(1 * -1) = -1 -> 3 - 1
-        assert pitch_adjust(3, 1.0, -1.0, set(), 20) == 2
-        # 0 - 2 clamps to 0 == original, probe finds 1
-        assert pitch_adjust(0, 2.0, -1.0, set(), 20) == 1
-
-    def test_zero_rounded_step_becomes_unit_step(self):
-        assert pitch_adjust(4, 1.0, 0.2, set(), 20) == 5
-        assert pitch_adjust(4, 1.0, -0.2, set(), 20) == 3
-
-    def test_high_end_clamp(self):
-        assert pitch_adjust(19, 2.0, 1.0, set(), 20) == 18
-
-    def test_forbidden_probes_outward(self):
-        assert pitch_adjust(5, 1.0, 1.0, {6}, 20) == 7
-        assert pitch_adjust(5, 1.0, 1.0, {6, 7}, 20) == 8
-
-    def test_everything_forbidden_returns_value(self):
-        assert pitch_adjust(1, 1.0, 1.0, {0, 2}, 3) == 1
-
-    def test_eps_validated(self):
-        with pytest.raises(ValueError):
-            pitch_adjust(5, 1.0, 1.5, set(), 20)
-
-    @pytest.mark.parametrize("value", [8, -1, 3.5])
-    def test_value_off_the_line_rejected(self, value):
-        with pytest.raises(ValueError):
-            pitch_adjust(value, 1.0, 0.5, set(), 8)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_matches_reference_index_walk(self, data):
-        n = data.draw(st.integers(1, 25), label="n_features")
-        value = data.draw(st.integers(0, n - 1), label="value")
-        band = data.draw(st.floats(0.0, 8.0), label="band")
-        eps = data.draw(st.floats(-1.0, 1.0), label="eps")
-        forbidden = data.draw(st.sets(st.integers(0, n - 1)), label="forbidden")
-        assert pitch_adjust(value, band, eps, forbidden, n) == \
-            _reference_index_walk(value, band, eps, forbidden, n)
-
-    def test_direction_split_is_symmetric(self):
-        # steps of |round(1*eps)| in {0,1}; zero-step promotion keeps the
-        # left/right choice a fair coin over symmetric eps
-        rng = np.random.default_rng(77)
-        counts = Counter(
-            pitch_adjust(4, 1.0, float(rng.uniform(-1.0, 1.0)), set(), 9)
-            for _ in range(20_000)
-        )
-        assert set(counts) == {3, 5}
-        assert 9_400 <= counts[3] <= 10_600
-        assert 9_400 <= counts[5] <= 10_600
-
-
 class TestImprovise:
     def test_pure_memory_single_row_is_identity(self):
         m = _memory(((4, 1, 7), 50.0))
@@ -225,7 +107,7 @@ class TestImprovise:
         for _ in range(20):
             assert improvise(m, cfg, rng).key == (1, 4, 7)
 
-    def test_hmcr_zero_is_uniform_random(self):
+    def test_hmcr_zero_draws_beyond_the_memory(self):
         m = _memory(((0, 1), 50.0))
         cfg = HsConfig(n_features=12, subset_size=2, hms=1, hmcr=0.0, par=0.0)
         rng = np.random.default_rng(1)
@@ -238,29 +120,36 @@ class TestImprovise:
         assert seen == set(range(12))  # well beyond the memory's {0, 1}
 
     def test_memory_consideration_rate(self):
-        # k=1, memory holds only feature 4: P(output == 4) = hmcr + miss
-        # landing on it by chance = 0.9 + 0.1/10 = 0.91
+        # k=1, every row holds feature 4, n=10, hmcr=0.5: bit 4 is on with
+        # p = 0.5 + 0.5/10 and each other bit with q = 0.5/10; the repair keeps
+        # 4 when its bit is on or no bit is, so P(4) = p + (1 - p)(1 - q)^9
         m = _memory(((4,), 50.0), ((4,), 50.0), ((4,), 50.0))
-        cfg = HsConfig(n_features=10, subset_size=1, hms=3, hmcr=0.9, par=0.0)
+        cfg = HsConfig(n_features=10, subset_size=1, hms=3, hmcr=0.5, par=0.0)
         rng = np.random.default_rng(5)
         hits = sum(improvise(m, cfg, rng).indices[0] == 4 for _ in range(20_000))
-        assert 17_900 <= hits <= 18_500
+        p, q = 0.55, 0.05
+        assert abs(hits - 20_000 * (p + (1 - p) * (1 - q) ** 9)) <= 250
 
-    def test_par_always_adjusts(self):
+    def test_par_one_flips_every_recalled_bit(self):
+        # hmcr=1, par=1: every bit but 4's is on, so 4 is never kept and the
+        # repair picks among the other eight at random
         m = _memory(((4,), 50.0))
-        cfg = HsConfig(n_features=9, subset_size=1, hms=1, hmcr=1.0, par=1.0,
-                       bandwidth=1.0)
+        cfg = HsConfig(n_features=9, subset_size=1, hms=1, hmcr=1.0, par=1.0)
         rng = np.random.default_rng(6)
-        counts = Counter(improvise(m, cfg, rng).indices[0] for _ in range(20_000))
-        assert set(counts) == {3, 5}
-        assert 9_400 <= counts[3] <= 10_600
+        counts = Counter(improvise(m, cfg, rng).indices[0] for _ in range(16_000))
+        assert set(counts) == set(range(9)) - {4}
+        assert all(1_700 <= c <= 2_300 for c in counts.values())
 
-    def test_column_draw_covers_stored_values(self):
-        m = _memory(((0, 3), 10.0), ((1, 4), 10.0), ((9, 5), 10.0))
-        cfg = HsConfig(n_features=10, subset_size=2, hms=3, hmcr=1.0, par=0.0)
-        rng = np.random.default_rng(7)
-        first_slot = {improvise(m, cfg, rng).indices[0] for _ in range(500)}
-        assert first_slot == {0, 1, 9}
+    def test_repair_ties_are_broken_at_random(self):
+        # k=1 over four distinct one-feature rows: each row's feature has the
+        # same memory count, so each is chosen about a quarter of the time (a
+        # lower-index tie rule would choose feature 1 more than half the time)
+        m = _memory(((7,), 10.0), ((1,), 20.0), ((5,), 30.0), ((3,), 40.0))
+        cfg = HsConfig(n_features=10, subset_size=1, hms=4, hmcr=1.0, par=0.0)
+        rng = np.random.default_rng(10)
+        counts = Counter(improvise(m, cfg, rng).indices[0] for _ in range(20_000))
+        assert set(counts) == {1, 3, 5, 7}
+        assert all(4_700 <= c <= 5_300 for c in counts.values())
 
     def test_pure_memory_closure(self):
         m = _memory(((0, 3, 6), 10.0), ((1, 4, 6), 20.0), ((2, 5, 8), 30.0))
@@ -269,15 +158,6 @@ class TestImprovise:
         rng = np.random.default_rng(8)
         for _ in range(1_000):
             assert set(improvise(m, cfg, rng).indices) <= union
-
-    def test_exhausted_column_falls_back_inside_union(self):
-        # same three values in every row, permuted: later slots always
-        # find their whole column already chosen
-        m = _memory(((1, 2, 5), 10.0), ((5, 1, 2), 20.0))
-        cfg = HsConfig(n_features=40, subset_size=3, hms=2, hmcr=1.0, par=0.0)
-        rng = np.random.default_rng(9)
-        for _ in range(500):
-            assert improvise(m, cfg, rng).key == (1, 2, 5)
 
     @pytest.mark.parametrize("rows, subset_size, par, match", [
         ([((0, 1), 50.0)], 3, 0.0, "2-feature subsets, config has subset_size=3"),
@@ -295,6 +175,82 @@ class TestImprovise:
         with pytest.raises(ValueError, match=match):
             improvise(_memory(*rows), cfg, np.random.default_rng(0))
 
+    def test_deterministic_given_rng_state(self):
+        m = _memory(((0, 3, 6), 10.0), ((1, 4, 6), 20.0), ((2, 5, 8), 30.0))
+        cfg = HsConfig(n_features=12, subset_size=3, hms=3)
+        first = [improvise(m, cfg, np.random.default_rng(4)).indices for _ in range(5)]
+        assert len(set(first)) == 1  # a fresh rng in the same state, the same subset
+        rng = np.random.default_rng(4)
+        draws = [improvise(m, cfg, rng).indices for _ in range(50)]
+        assert len(set(draws)) > 1  # one rng carried across calls moves on
+
+    def test_memory_is_not_mutated(self):
+        m = _memory(((0, 3, 6), 10.0), ((1, 4, 6), 20.0), ((2, 5, 8), 30.0))
+        before = list(m)
+        cfg = HsConfig(n_features=12, subset_size=3, hms=3, hmcr=0.9, par=0.5)
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            improvise(m, cfg, rng)
+        assert m == before
+
+    @pytest.mark.parametrize("hmcr, par", [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.7, 0.3)])
+    def test_k_equal_to_n_returns_every_feature(self, hmcr, par):
+        m = _memory(((0, 1, 2, 3, 4), 50.0), ((4, 3, 2, 1, 0), 60.0))
+        cfg = HsConfig(n_features=5, subset_size=5, hms=2, hmcr=hmcr, par=par)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            assert improvise(m, cfg, rng).key == (0, 1, 2, 3, 4)
+
+    def test_par_is_ignored_when_nothing_is_recalled(self):
+        # par flips only bits drawn from memory, so at hmcr = 0 it changes nothing
+        m = _memory(((0, 3), 10.0), ((5, 7), 20.0))
+        draws = {}
+        for par in (0.0, 0.4, 1.0):
+            cfg = HsConfig(n_features=10, subset_size=2, hms=2, hmcr=0.0, par=par)
+            rng = np.random.default_rng(21)
+            draws[par] = [improvise(m, cfg, rng).key for _ in range(200)]
+        assert draws[0.0] == draws[0.4] == draws[1.0]
+
+    def test_repairs_once_by_memory_counts(self, monkeypatch):
+        # one repair per candidate, ranked by each feature's memory count with
+        # a tie-breaking fraction in [0, 1) that never reorders unequal counts
+        calls = []
+
+        def recording(selected, priority, k):
+            calls.append((selected.copy(), priority.copy(), k))
+            return _repair_to_k(selected, priority, k)
+
+        monkeypatch.setattr(harmony, "_repair_to_k", recording)
+        m = _memory(((0, 3, 6), 10.0), ((1, 3, 6), 20.0), ((3, 5, 8), 30.0))
+        cfg = HsConfig(n_features=10, subset_size=3, hms=3)
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            improvise(m, cfg, rng)
+        assert len(calls) == 30
+        counts = np.array([1, 1, 0, 3, 0, 1, 2, 0, 1, 0])
+        for selected, priority, k in calls:
+            assert k == 3 and selected.shape == (10,) and selected.dtype == bool
+            assert np.array_equal(np.floor(priority), counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_feature_in_every_row_is_always_kept(self, data):
+        # with hmcr 1 and par 0 a feature in every row has its bit on and the
+        # highest count, so no repair drops it
+        n = data.draw(st.integers(2, 30), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        hms = data.draw(st.integers(1, 8), label="hms")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        shared = int(rng.integers(n))
+        rows = []
+        for _ in range(hms):
+            rest = rng.choice(np.delete(np.arange(n), shared), size=k - 1, replace=False)
+            rows.append(((shared, *rest.tolist()), 50.0))
+        cfg = HsConfig(n_features=n, subset_size=k, hms=hms, hmcr=1.0, par=0.0)
+        for _ in range(20):
+            assert shared in improvise(_memory(*rows), cfg, rng).indices
+
     def test_fuzz_output_always_valid(self):
         rng = np.random.default_rng(2024)
         for _ in range(10_000):
@@ -304,7 +260,6 @@ class TestImprovise:
             cfg = HsConfig(
                 n_features=n, subset_size=k, hms=hms,
                 hmcr=float(rng.random()), par=float(rng.random()),
-                bandwidth=float(rng.uniform(0.25, 3.0)),
             )
             rows = [Harmony(random_subset(n, k, rng), float(rng.uniform(0, 100)))
                     for _ in range(hms)]
@@ -356,16 +311,11 @@ class TestMemoryUpdates:
                         data.draw(fitness)) for _ in range(hms)]
         cfg = HsConfig(n_features=n, subset_size=k, hms=hms,
                        hmcr=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), label="hmcr"),
-                       par=data.draw(st.floats(0.0, 1.0), label="par"),
-                       bandwidth=data.draw(st.floats(0.25, 4.0), label="bandwidth"))
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+                       par=data.draw(st.floats(0.0, 1.0), label="par"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         memory, reference = list(rows), _ReferenceMemory(rows)
-        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(data.draw(st.integers(1, 4), label="steps")):
-            subset = improvise(memory, cfg, rng)
-            assert subset == _reference_improvise(reference, cfg, reference_rng)
-            assert rng.bit_generator.state == reference_rng.bit_generator.state
-            candidate = Harmony(subset, data.draw(fitness))
+            candidate = Harmony(improvise(memory, cfg, rng), data.draw(fitness))
             before, worst = list(memory), reference.worst_index()
             replaced = replace_worst(memory, candidate)
             assert replaced == _reference_replace_worst(reference, candidate)
@@ -625,6 +575,80 @@ class TestDepthOne:
         _, history = pso_run(cfg, LeaveOneOutObjective(tiny8))
         assert any(history.replaced)
         assert len(moves) == cfg.particles * cfg.iterations
+
+
+class TestRepairToK:
+    def test_mask_of_size_k_is_kept_and_not_aliased(self):
+        selected = np.array([True, False, True, False])
+        out = _repair_to_k(selected, np.array([0.0, 9.0, 0.0, 9.0]), 2)
+        assert out.tolist() == [True, False, True, False]
+        out[0] = False
+        assert selected[0]  # a copy, not the caller's mask
+
+    def test_surplus_drops_the_lowest_priority(self):
+        selected = np.array([True, True, True, True, False])
+        priority = np.array([0.4, 0.9, 0.1, 0.6, 5.0])
+        out = _repair_to_k(selected, priority, 2)
+        assert np.flatnonzero(out).tolist() == [1, 3]
+        assert selected.tolist() == [True, True, True, True, False]
+
+    def test_deficit_adds_the_highest_priority(self):
+        selected = np.array([False, True, False, False, False])
+        priority = np.array([0.4, 0.0, 0.1, 0.9, 0.6])
+        out = _repair_to_k(selected, priority, 3)
+        assert np.flatnonzero(out).tolist() == [1, 3, 4]
+        assert selected.tolist() == [False, True, False, False, False]
+
+    def test_priority_ties_resolve_to_the_lower_index(self):
+        flat = np.zeros(6)
+        assert np.flatnonzero(_repair_to_k(np.ones(6, dtype=bool), flat, 2)).tolist() == [0, 1]
+        assert np.flatnonzero(_repair_to_k(np.zeros(6, dtype=bool), flat, 2)).tolist() == [0, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exactly_k_and_priority_ordered(self, data):
+        n = data.draw(st.integers(1, 25), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        selected = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        priority = np.array(data.draw(st.lists(
+            st.floats(-10, 10, allow_nan=False), min_size=n, max_size=n)))
+        out = _repair_to_k(selected, priority, k)
+        assert out.dtype == bool and int(out.sum()) == k
+        if selected.sum() >= k:
+            # only drops: every kept dim outranks every dropped one
+            assert not (out & ~selected).any()
+            dropped = selected & ~out
+            if dropped.any():
+                assert priority[out].min() >= priority[dropped].max()
+        else:
+            # only adds: every added dim outranks every unselected one left out
+            assert not (selected & ~out).any()
+            added, left = out & ~selected, ~out
+            if left.any():
+                assert priority[added].min() >= priority[left].max()
+
+    def test_hs_and_pso_share_one_repair_and_one_mask_conversion(self):
+        assert baselines._repair_to_k is harmony._repair_to_k
+        assert baselines.mask_subset is harmony.mask_subset
+
+
+class TestMaskSubset:
+    def test_true_positions_in_index_order(self):
+        s = harmony.mask_subset(np.array([False, True, False, True, True]))
+        assert isinstance(s, FeatureSubset)
+        assert s.indices == (1, 3, 4)
+
+    def test_round_trips_a_subset_through_its_mask(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            s = random_subset(20, int(rng.integers(1, 21)), rng)
+            mask = np.zeros(20, dtype=bool)
+            mask[list(s.indices)] = True
+            assert harmony.mask_subset(mask).indices == s.key
+
+    def test_empty_mask_is_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            harmony.mask_subset(np.zeros(4, dtype=bool))
 
 
 class TestRandomSubset:
