@@ -66,6 +66,19 @@ console_script() {
   test "$status" -eq 1
   grep -qF "bad.cfg: not UTF-8 text" err.txt
   if grep -q Traceback err.txt; then exit 1; fi
+  # each report command runs its optimizers and writes a CSV report that starts
+  # with its header
+  local report=(--data "$tiny8" --classifier knn --folds 2)
+  subsetharmony grid "${report[@]}" --k 3 --hms-values 2,3 --iteration-values 2,3 \
+    --output grid.csv
+  test "$(head -n 1 grid.csv)" = "iterations,2,3"
+  subsetharmony fractions "${report[@]}" --fractions 25,50 --hms 3 --iterations 3 \
+    --output fractions.csv
+  test "$(head -n 1 fractions.csv)" = "fraction_percent,subset_size,accuracy_percent"
+  subsetharmony compare "${report[@]}" --k 3 --optimizers hs,ga,pso,pca --hms 3 \
+    --iterations 3 --population 4 --generations 2 --particles 4 --pso-iterations 2 \
+    --output compare.csv
+  test "$(head -n 1 compare.csv)" = "optimizer,subset_size,accuracy_percent,execution_seconds"
 }
 
 goldens() {

@@ -87,21 +87,11 @@ class PcaConfig:
             raise ValueError(f"components must be >= 1, got {self.components}")
 
 
-def _repair_duplicates(genes: list[int], rng: np.random.Generator, n_features: int) -> list[int]:
-    """Replace duplicate genes with uniform random unused indices."""
-    seen: set[int] = set()
-    dup_slots: list[int] = []
-    for slot, g in enumerate(genes):
-        if g in seen:
-            dup_slots.append(slot)
-        else:
-            seen.add(g)
-    if dup_slots:
-        unused = [i for i in range(n_features) if i not in seen]
-        for slot in dup_slots:
-            pick = int(rng.integers(len(unused)))
-            genes[slot] = unused.pop(pick)
-    return genes
+def _redraw_gene(genes: list[int], slot: int, rng: np.random.Generator, n_features: int) -> None:
+    """Set genes[slot] to a uniform random index no gene holds, if there is one."""
+    unused = [i for i in range(n_features) if i not in genes]
+    if unused:
+        genes[slot] = unused[int(rng.integers(len(unused)))]
 
 
 def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
@@ -135,14 +125,14 @@ def ga_run(cfg: GaConfig, objective) -> tuple[Harmony, RunHistory]:
             if k >= 2 and rng.random() < cfg.crossover_rate:
                 cut = int(rng.integers(1, k))
                 genes = list(sorted(p1.indices)[:cut]) + list(sorted(p2.indices)[cut:])
-                genes = _repair_duplicates(genes, rng, n)
+                for slot in range(k):
+                    if genes[slot] in genes[:slot]:
+                        _redraw_gene(genes, slot, rng, n)
             else:
                 genes = list(p1.indices)
             for slot in range(k):
                 if rng.random() < cfg.mutation_rate:
-                    unused = [i for i in range(n) if i not in genes]
-                    if unused:
-                        genes[slot] = int(unused[rng.integers(len(unused))])
+                    _redraw_gene(genes, slot, rng, n)
             children.append(FeatureSubset(tuple(genes)))
         population = [elite.subset] + children
         fitnesses = [elite.fitness, *log.score(children)]

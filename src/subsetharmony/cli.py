@@ -28,7 +28,7 @@ from .harness import (
     OPTIMIZERS,
     compare_optimizers,
     emit_report,
-    run_optimizer,
+    run_optimizers,
     sweep_fractions,
     sweep_grid,
 )
@@ -314,7 +314,8 @@ def main(ns: argparse.Namespace) -> int:
                for name in ns.optimizer_names}
 
     if ns.command == "select":
-        best, history = run_optimizer(configs[ns.optimizer], objective)
+        (best, history), _ = run_optimizers([configs[ns.optimizer]], objective,
+                                            reset_cache=False)[0]
         print(_subset_line("best subset", d, best.subset.indices))
         print(f"accuracy: {best.fitness:.2f}")
         print(f"evaluations: {history.evaluations}")
@@ -353,7 +354,7 @@ def main(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.command == "pca":
-        result = run_optimizer(configs["pca"], objective)
+        result, _ = run_optimizers([configs["pca"]], objective, reset_cache=False)[0]
         print(f"components: {result.components}")
         print(f"accuracy: {result.accuracy_percent:.2f}")
         return 0

@@ -138,20 +138,21 @@ def sweep_grid(
     base: HsConfig,
     objective: SubsetObjective,
 ) -> GridReport:
-    """Run hs_run for every (hms, iterations) pair with per-cell seeds.
+    """Run HS for every (hms, iterations) pair with per-cell seeds.
 
     Every cell's config is built, and so checked, before the first search.
     """
     configs = [
-        [replace(base, hms=int(hms), max_iterations=int(iterations),
-                 seed=derive_seed(base.seed, "grid", str(hms), str(iterations)))
-         for hms in hms_values]
-        for iterations in iteration_values
+        replace(base, hms=int(hms), max_iterations=int(iterations),
+                seed=derive_seed(base.seed, "grid", str(hms), str(iterations)))
+        for iterations in iteration_values for hms in hms_values
     ]
+    runs = run_optimizers(configs, objective, reset_cache=False)
+    fitness = iter(best.fitness for (best, _), _ in runs)
     return GridReport(
         iteration_values=tuple(int(v) for v in iteration_values),
         hms_values=tuple(int(v) for v in hms_values),
-        cells=tuple(tuple(hs_run(cfg, objective)[0].fitness for cfg in row) for row in configs),
+        cells=tuple(tuple(next(fitness) for _ in hms_values) for _ in iteration_values),
     )
 
 
@@ -167,7 +168,7 @@ def sweep_fractions(
     base: HsConfig,
     objective: SubsetObjective,
 ) -> FractionSweepReport:
-    """One hs_run per fraction, subset size resolved by the floor rule.
+    """One HS run per fraction, subset size resolved by the floor rule.
 
     Every fraction's size and config are built, and so checked, before the
     first search.
@@ -181,7 +182,8 @@ def sweep_fractions(
     return FractionSweepReport(
         fraction_percents=tuple(float(p) for p in fractions),
         subset_sizes=tuple(sizes),
-        accuracies=tuple(hs_run(cfg, objective)[0].fitness for cfg in configs),
+        accuracies=tuple(best.fitness for (best, _), _ in run_optimizers(
+            configs, objective, reset_cache=False)),
     )
 
 
@@ -190,19 +192,34 @@ OptimizerConfig = HsConfig | GaConfig | PsoConfig | PcaConfig
 OPTIMIZERS = {"hs": HsConfig, "ga": GaConfig, "pso": PsoConfig, "pca": PcaConfig}
 
 
-def run_optimizer(cfg: OptimizerConfig, objective: SubsetObjective):
-    """Run the optimizer a config belongs to against the objective.
+def run_optimizers(
+    configs: Sequence[OptimizerConfig],
+    objective: SubsetObjective,
+    *,
+    reset_cache: bool,
+) -> list[tuple[object, float]]:
+    """Run each config's optimizer on the objective in order; (result, wall seconds) each.
 
-    Returns hs_run's, ga_run's or pso_run's (best, history) pair, or
-    pca_run's PcaSweepResult.
+    Every config is checked first: one no optimizer takes is a TypeError, a PCA
+    component count the folds cannot hold a ValueError. reset_cache clears the
+    cache before each run, else the runs share it (scores are pure). A result is
+    hs_run's, ga_run's or pso_run's (best, history) pair, or pca_run's PcaSweepResult.
     """
     # looked up per call, so a run function replaced on this module is the one that runs
     runners = {HsConfig: hs_run, GaConfig: ga_run, PsoConfig: pso_run, PcaConfig: pca_run}
-    try:
-        run = runners[type(cfg)]
-    except KeyError:
-        raise TypeError(f"unsupported optimizer config: {type(cfg).__name__}") from None
-    return run(cfg, objective)
+    for cfg in configs:
+        if type(cfg) not in runners:
+            raise TypeError(f"unsupported optimizer config: {type(cfg).__name__}")
+        if isinstance(cfg, PcaConfig):
+            pca_candidates(cfg, objective)
+    timed = []
+    for cfg in configs:
+        if reset_cache:
+            objective.reset_cache()
+        start = time.perf_counter()
+        result = runners[type(cfg)](cfg, objective)
+        timed.append((result, time.perf_counter() - start))
+    return timed
 
 
 def compare_optimizers(
@@ -212,20 +229,11 @@ def compare_optimizers(
     """Run each optimizer against a freshly cleared cache and time the run.
 
     The cache reset keeps the wall-clock column fair: no optimizer inherits
-    evaluations paid for by an earlier one. A PCA config whose component
-    count the folds cannot hold is rejected before the first run.
+    evaluations paid for by an earlier one.
     """
-    if not configs:
-        raise ValueError("at least one optimizer config is required")
-    for cfg in configs:
-        if isinstance(cfg, PcaConfig):
-            pca_candidates(cfg, objective)
     rows: list[ComparisonRow] = []
-    for cfg in configs:
-        objective.reset_cache()
-        start = time.perf_counter()
-        result = run_optimizer(cfg, objective)
-        elapsed = time.perf_counter() - start
+    for cfg, (result, elapsed) in zip(configs, run_optimizers(configs, objective,
+                                                              reset_cache=True)):
         if isinstance(cfg, PcaConfig):
             size, acc = result.components, result.accuracy_percent
         else:

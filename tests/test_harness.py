@@ -22,6 +22,10 @@ from subsetharmony import (
     compare_optimizers,
     emit_report,
     fraction_to_size,
+    ga_run,
+    hs_run,
+    pca_run,
+    pso_run,
     read_comparison_csv,
     read_fractions_csv,
     read_grid_csv,
@@ -166,6 +170,13 @@ class TestSweepGrid:
         assert r1.cells == r2.cells
         assert r1.best_accuracy == max(v for row in r1.cells for v in row)
 
+    def test_cells_share_the_cache(self, tiny8):
+        obj = SubsetObjective(tiny8, ObjectiveConfig(classifier="knn", folds=2))
+        sweep_grid((3, 4), (5, 6), HsConfig(8, 2, seed=0), obj)
+        # no cell clears the calls or the scores of an earlier one
+        assert obj.calls == sum(hms + iterations for hms in (3, 4) for iterations in (5, 6))
+        assert obj.unique_evaluations < obj.calls
+
     def test_empty_axis_rejected(self, tiny8):
         base = HsConfig(n_features=8, subset_size=3)
         with pytest.raises(ValueError):
@@ -242,10 +253,15 @@ class TestCompareOptimizers:
         assert obj.unique_evaluations <= 5 + 10
         assert obj.calls == 5 + 10
 
-    def test_unknown_config_rejected(self, tiny8):
+    def test_unknown_config_rejected(self, tiny8, monkeypatch):
+        def spy(cfg, objective):
+            raise AssertionError("HS ran before the unknown config was checked")
+
+        monkeypatch.setattr(harness, "hs_run", spy)
         obj = SubsetObjective(tiny8, ObjectiveConfig(classifier="knn"))
+        configs = [HsConfig(8, 3, hms=3, max_iterations=5), ObjectiveConfig()]
         with pytest.raises(TypeError, match="^unsupported optimizer config: ObjectiveConfig$"):
-            harness.run_optimizer(ObjectiveConfig(), obj)
+            harness.run_optimizers(configs, obj, reset_cache=True)
 
     def test_infeasible_components_rejected_before_the_first_run(self, tiny8, monkeypatch):
         def spy(cfg, objective):
@@ -262,6 +278,50 @@ class TestCompareOptimizers:
         obj = SubsetObjective(tiny8, ObjectiveConfig(classifier="knn"))
         with pytest.raises(ValueError):
             compare_optimizers([], obj)
+
+
+_RUNNERS = {HsConfig: hs_run, GaConfig: ga_run, PsoConfig: pso_run, PcaConfig: pca_run}
+
+
+def _small_configs():
+    n, k, seed, few = st.just(8), st.integers(1, 8), st.integers(0, 3), st.integers(1, 3)
+    return st.lists(st.one_of(
+        st.builds(HsConfig, n, k, hms=st.integers(1, 4), max_iterations=st.integers(1, 6),
+                  seed=seed),
+        st.builds(GaConfig, n, k, population=st.integers(2, 4), generations=few, seed=seed),
+        st.builds(PsoConfig, n, k, particles=st.integers(2, 4), iterations=few, seed=seed),
+        st.builds(PcaConfig, st.one_of(st.none(), st.integers(1, 8))),
+    ), min_size=1, max_size=4)
+
+
+class TestRunOptimizers:
+    @settings(max_examples=40, deadline=None)
+    @given(configs=_small_configs(), reset_cache=st.booleans())
+    def test_each_run_returns_what_it_returns_alone(self, tiny8, configs, reset_cache):
+        objective_config = ObjectiveConfig(classifier="knn", folds=2, fold_seed=1)
+        alone = [_RUNNERS[type(cfg)](cfg, SubsetObjective(tiny8, objective_config))
+                 for cfg in configs]
+        objective = SubsetObjective(tiny8, objective_config)
+        ended = []
+
+        def spying(run):
+            def spy(cfg, objective):
+                best, history = run(cfg, objective)
+                ended.append((objective.calls, history.evaluations))
+                return best, history
+            return spy
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("hs_run", "ga_run", "pso_run"):
+                mp.setattr(harness, name, spying(getattr(harness, name)))
+            timed = harness.run_optimizers(configs, objective, reset_cache=reset_cache)
+        assert [result for result, _ in timed] == alone
+        assert all(seconds >= 0.0 for _, seconds in timed)
+        if reset_cache:
+            # each run's calls are a segment of their own
+            assert all(calls == evaluations for calls, evaluations in ended)
+        else:
+            assert objective.calls == sum(evaluations for _, evaluations in ended)
 
 
 FIXTURE_COMPARISON = ComparisonReport(rows=(
