@@ -79,6 +79,11 @@ console_script() {
     --iterations 3 --population 4 --generations 2 --particles 4 --pso-iterations 2 \
     --output compare.csv
   test "$(head -n 1 compare.csv)" = "optimizer,subset_size,accuracy_percent,execution_seconds"
+  # the MLP objective batches, so each PSO sweep is prefetched as one batch
+  subsetharmony compare --data "$tiny8" --k 3 --optimizers pso --epochs 1 --folds 2 \
+    --particles 4 --pso-iterations 2 --output compare_mlp.csv
+  test "$(head -n 1 compare_mlp.csv)" = \
+    "optimizer,subset_size,accuracy_percent,execution_seconds"
 }
 
 goldens() {

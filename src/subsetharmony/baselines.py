@@ -17,8 +17,7 @@ from .classifiers import _sigmoid
 # benchmark tracing patches take_rows, standardize and stratified_kfold here, so they
 # stay imported
 from .dataset import Dataset, standardize, stratified_kfold, take_rows  # noqa: F401
-from .harmony import (Harmony, RunHistory, RunLog, _repair_to_k, mask_subset, random_subset,
-                      speculate)
+from .harmony import Harmony, RunHistory, RunLog, _repair_to_k, mask_subset, random_subset
 from .subsets import FeatureSubset, check_subset_size
 from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, cross_validate, fold_plan
 
@@ -148,14 +147,16 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
     per-dimension inclusion probability. gbest is the run's best, updated
     as soon as any particle improves on it.
 
-    The initial swarm is scored as one batch (RunLog.score), and every sweep
-    is speculative and exact (speculate). A particle's move depends only on
-    the rng state, its own velocity, position and pbest, and gbest, which
-    changes only with the run's best; so the moves of the rest of the sweep
-    are computed against the current gbest and scored as one batch, then
-    committed in order up to and including the first that improves gbest.
-    Objective calls, their order and every result are those of moving and
-    scoring one particle at a time.
+    The initial swarm is scored as one batch (RunLog.score). Each sweep
+    draws its randomness at once, r1, r2 and the mask draw of every particle
+    in particle order: the stream of drawing them particle by particle. A
+    particle's move depends only on those draws, its own velocity, position
+    and pbest, and gbest, which changes only with the run's best. So the
+    rest of the sweep moves as one array step against the current gbest and
+    is scored as one batch, committed in order up to and including the first
+    particle that improves gbest; the particles after it move again from the
+    same draws. Objective calls, their order and every result are those of
+    moving and scoring one particle at a time.
     """
     rng = np.random.default_rng(cfg.seed)
     k, n = cfg.subset_size, cfg.n_features
@@ -168,37 +169,32 @@ def pso_run(cfg: PsoConfig, objective) -> tuple[Harmony, RunHistory]:
 
     pbest_pos = positions.copy()
     pbest_fit = np.array([*log.score([mask_subset(mask) for mask in positions])])
-    gbest = log.best
     gbest_pos = pbest_pos[int(np.argmax(pbest_fit))].copy()
-
-    def propose(p: int) -> tuple[FeatureSubset, tuple[np.ndarray, np.ndarray]]:
-        r1 = rng.random(n)
-        r2 = rng.random(n)
-        x = positions[p].astype(float)
-        velocity = (
-            cfg.inertia * velocities[p]
-            + cfg.c1 * r1 * (pbest_pos[p].astype(float) - x)
-            + cfg.c2 * r2 * (gbest_pos.astype(float) - x)
-        )
-        np.clip(velocity, -VELOCITY_CLAMP, VELOCITY_CLAMP, out=velocity)
-        prob = _sigmoid(velocity)
-        mask = _repair_to_k(rng.random(n) < prob, prob, k)
-        return mask_subset(mask), (velocity, mask)
-
-    def accept(p: int, move: tuple[np.ndarray, np.ndarray], fit: float) -> bool:
-        nonlocal gbest, gbest_pos
-        velocities[p], positions[p] = move
-        if fit > pbest_fit[p]:
-            pbest_fit[p] = fit
-            pbest_pos[p] = positions[p]
-        if log.best is gbest:
-            return False
-        gbest, gbest_pos = log.best, positions[p].copy()
-        return True
 
     for _ in range(cfg.iterations):
         start_best = log.best
-        speculate(log, rng, cfg.particles, cfg.particles, propose, accept)
+        r1, r2, draw = rng.random((cfg.particles, 3, n)).transpose(1, 0, 2)
+        p = 0
+        while p < cfg.particles:
+            x = positions[p:].astype(float)
+            velocity = (
+                cfg.inertia * velocities[p:]
+                + cfg.c1 * r1[p:] * (pbest_pos[p:].astype(float) - x)
+                + cfg.c2 * r2[p:] * (gbest_pos.astype(float) - x)
+            )
+            np.clip(velocity, -VELOCITY_CLAMP, VELOCITY_CLAMP, out=velocity)
+            prob = _sigmoid(velocity)
+            masks = _repair_to_k(draw[p:] < prob, prob, k)
+            gbest = log.best
+            for j, fit in enumerate(log.score([mask_subset(mask) for mask in masks])):
+                velocities[p], positions[p] = velocity[j], masks[j]
+                if fit > pbest_fit[p]:
+                    pbest_fit[p] = fit
+                    pbest_pos[p] = positions[p]
+                p += 1
+                if log.best is not gbest:
+                    gbest_pos = masks[j]
+                    break
         log.end_iteration(log.best is not start_best)
     return log.result()
 

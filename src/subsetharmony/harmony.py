@@ -12,9 +12,8 @@ entry only on strict fitness improvement.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -89,12 +88,13 @@ class RunLog:
     the one way a run scores a batch: it hands the list to the objective's
     prefetch, if any (SubsetObjective.prefetch), then yields the fitnesses
     in list order, each scored and counted only when read; so a loop that
-    stops at the first accepted state change (speculate) scores no more.
+    stops at the first accepted state change (an HS lookahead round, a PSO
+    sweep) scores no more.
     end_iteration appends one history row: the best fitness so far and the
     optimizer's replaced/improved flag.
     `batches` is the objective's own flag (SubsetObjective.batches), False
     for a plain callable: whether a batch scores faster than its members
-    one at a time, and so whether speculate proposes ahead.
+    one at a time. hs_run is its only reader: it improvises ahead only then.
     """
 
     def __init__(self, objective) -> None:
@@ -123,44 +123,6 @@ class RunLog:
     def result(self) -> tuple[Harmony, RunHistory]:
         best_fitness, flags = zip(*self._rows)
         return self.best, RunHistory(best_fitness, flags, self.calls)
-
-
-def speculate(log: RunLog, rng: np.random.Generator, steps: int, depth: int,
-              propose: Callable[[int], tuple[FeatureSubset, Any]],
-              accept: Callable[[int, Any, float], bool]) -> None:
-    """Take steps 0..steps-1 of a search, proposing up to depth of them ahead.
-
-    propose(i) draws step i's move from rng and the search state without
-    changing that state, and returns the subset to score and the move.
-    accept(i, move, fitness) applies the scored move and reports whether it
-    changed the state that later proposals read.
-
-    Each round proposes up to depth steps against the unchanged state,
-    saving the rng state before each, and scores their subsets as one batch
-    (RunLog.score). They are accepted in order up to and including the first
-    that changes the state; the rest are dropped unscored, and the rng goes
-    back to the state saved before the first dropped one.
-    Objective calls, their order and every result are those of proposing,
-    scoring and accepting one step at a time. Unless log.batches, a batch
-    scores no faster than its members and a dropped proposal is wasted work,
-    so depth is then 1.
-    """
-    if not log.batches:
-        depth = 1
-    step = 0
-    while step < steps:
-        states, proposals = [], []
-        for i in range(step, min(step + depth, steps)):
-            states.append(rng.bit_generator.state)
-            proposals.append(propose(i))
-        fitnesses = log.score([subset for subset, _ in proposals])
-        for j, ((_, move), fitness) in enumerate(zip(proposals, fitnesses)):
-            changed = accept(step, move, fitness)
-            step += 1
-            if changed:
-                if j + 1 < len(proposals):
-                    rng.bit_generator.state = states[j + 1]
-                break
 
 
 def improvise(memory: list[Harmony], cfg: HsConfig, rng: np.random.Generator) -> FeatureSubset:
@@ -208,24 +170,17 @@ def mask_subset(mask: np.ndarray) -> FeatureSubset:
 
 
 def _repair_to_k(selected: np.ndarray, priority: np.ndarray, k: int) -> np.ndarray:
-    """Force an inclusion mask to exactly k ones; HS and the PSO both repair with it.
+    """Force inclusion masks to exactly k ones along the last axis; HS and the PSO share it.
 
-    Surplus drops the lowest-priority selected dims; deficit adds the
-    highest-priority unselected dims. Priority ties resolve to the lower
-    dimension index.
+    Each mask keeps its first k dims ranked selected first, then higher
+    priority, then lower index: a surplus drops the lowest-priority selected
+    dims and a deficit adds the highest-priority unselected ones. A 2-D
+    array is repaired row by row.
     """
-    n = len(selected)
-    mask = selected.copy()
-    count = int(mask.sum())
-    if count > k:
-        dims = np.flatnonzero(mask)
-        keep = dims[np.lexsort((dims, -priority[dims]))][:k]
-        mask = np.zeros(n, dtype=bool)
-        mask[keep] = True
-    elif count < k:
-        dims = np.flatnonzero(~mask)
-        add = dims[np.lexsort((dims, -priority[dims]))][: k - count]
-        mask[add] = True
+    # lexsort is stable, so equal keys keep index order
+    first = np.lexsort((-priority, ~selected), axis=-1)[..., :k]
+    mask = np.zeros(selected.shape, dtype=bool)
+    np.put_along_axis(mask, first, True, axis=-1)
     return mask
 
 
@@ -257,25 +212,33 @@ def hs_run(cfg: HsConfig, objective) -> tuple[Harmony, RunHistory]:
     `objective` maps a FeatureSubset to an accuracy percent. Deterministic
     given cfg.seed; issues exactly hms + max_iterations objective calls.
 
-    The search is speculative and exact (speculate). A candidate depends
-    only on the rng state and the memory, and the memory changes only on
-    replacement, so up to DEPTH candidates are improvised against the
-    unchanged memory and scored as one batch (RunLog.score).
+    A candidate depends only on the rng state and the memory, and the
+    memory changes only on replacement. So when the objective batches
+    (log.batches), each round improvises up to DEPTH candidates against the
+    unchanged memory, saving the rng state before each, and scores them as
+    one batch (RunLog.score). They are accepted in order up to and including
+    the first replacement; the rest are dropped unscored and the rng goes
+    back to the state saved before the first dropped one. Otherwise a
+    dropped candidate would be wasted work, so a round holds one.
     Objective calls, their order and every result are those of improvising,
     scoring and replacing one candidate at a time.
     """
     rng = np.random.default_rng(cfg.seed)
     log = RunLog(objective)
     memory = initialize_memory(cfg, log, rng)
-
-    def propose(_: int) -> tuple[FeatureSubset, FeatureSubset]:
-        subset = improvise(memory, cfg, rng)
-        return subset, subset
-
-    def accept(_: int, subset: FeatureSubset, fitness: float) -> bool:
-        replaced = replace_worst(memory, Harmony(subset, fitness))
-        log.end_iteration(replaced)
-        return replaced
-
-    speculate(log, rng, cfg.max_iterations, DEPTH, propose, accept)
+    depth = DEPTH if log.batches else 1
+    step = 0
+    while step < cfg.max_iterations:
+        states, subsets = [], []
+        for _ in range(min(depth, cfg.max_iterations - step)):
+            states.append(rng.bit_generator.state)
+            subsets.append(improvise(memory, cfg, rng))
+        for j, fitness in enumerate(log.score(subsets)):
+            step += 1
+            replaced = replace_worst(memory, Harmony(subsets[j], fitness))
+            log.end_iteration(replaced)
+            if replaced:
+                if j + 1 < len(subsets):
+                    rng.bit_generator.state = states[j + 1]
+                break
     return log.result()

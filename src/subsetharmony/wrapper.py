@@ -194,8 +194,8 @@ class SubsetObjective:
     `prefetch` scores MLP misses ahead of time in one lockstep batch; they
     wait in `pending` and count only once evaluate asks for them, so every
     count and result is the one scoring on demand gives. `batches` says
-    whether prefetch does anything, which is what the optimizers read
-    before they propose candidates ahead. The first miss builds the
+    whether prefetch does anything, which is what hs_run reads before it
+    improvises candidates ahead. The first miss builds the
     dataset's fold plan (fold_plan); reset_cache keeps it. A miss whose
     training diverges raises TrainingDivergedError naming the subset.
     """

@@ -520,6 +520,27 @@ class TestSpeculativePso:
         assert speculative.batch_sizes[:2] == [particles, particles]
 
 
+class TestPsoGenerator:
+    def test_ends_in_the_sequential_runs_state(self, tiny8, monkeypatch):
+        # a surplus draw after the last score changes no result; only the
+        # generator's final state shows it
+        made = []
+        real = np.random.default_rng
+
+        def capturing(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", capturing)
+        for seed in range(3):
+            cfg = PsoConfig(n_features=8, subset_size=3, particles=5, iterations=6, seed=seed)
+            made.clear()
+            _sequential_pso_run(cfg, LeaveOneOutObjective(tiny8))
+            pso_run(cfg, LeaveOneOutObjective(tiny8))
+            assert len(made) == 2
+            assert made[0].bit_generator.state == made[1].bit_generator.state
+
+
 class TestBatchedGa:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**16), population=st.integers(2, 6),
@@ -547,7 +568,7 @@ class TestBatchedGa:
 
 
 class TestDepthOne:
-    """An objective that does not batch gets no proposal it will not score."""
+    """An objective that does not batch is scored one candidate at a time."""
 
     def test_hs_improvises_once_per_iteration(self, tiny8, monkeypatch):
         improvised = []
@@ -564,17 +585,37 @@ class TestDepthOne:
         assert len(improvised) == cfg.max_iterations
 
     def test_pso_moves_each_particle_once_per_sweep(self, tiny8, monkeypatch):
-        moves = []
+        # one repair moves a whole sweep; an in-sweep gbest improvement
+        # repairs the particles after it again, from the same draws
+        repaired_rows = []
 
-        def counting(*args):
-            moves.append(_repair_to_k(*args))
-            return moves[-1]
+        def counting(selected, priority, k):
+            repaired_rows.append(len(selected))
+            return _repair_to_k(selected, priority, k)
 
         monkeypatch.setattr(baselines, "_repair_to_k", counting)
+        objective = LeaveOneOutObjective(tiny8)
+        fitnesses = []
+
+        def recording(subset: FeatureSubset) -> float:
+            fitnesses.append(objective(subset))
+            return fitnesses[-1]
+
         cfg = PsoConfig(n_features=8, subset_size=3, particles=7, iterations=12, seed=3)
-        _, history = pso_run(cfg, LeaveOneOutObjective(tiny8))
+        _, history = pso_run(cfg, recording)
         assert any(history.replaced)
-        assert len(moves) == cfg.particles * cfg.iterations
+        assert len(fitnesses) == cfg.particles * (cfg.iterations + 1)
+        expected, best = [], max(fitnesses[:cfg.particles])
+        for sweep in range(1, cfg.iterations + 1):
+            expected.append(cfg.particles)
+            for p in range(cfg.particles):
+                fit = fitnesses[sweep * cfg.particles + p]
+                if fit > best:
+                    best = fit
+                    if p + 1 < cfg.particles:
+                        expected.append(cfg.particles - p - 1)
+        assert len(expected) > cfg.iterations  # some sweep is moved again
+        assert repaired_rows == expected
 
 
 class TestRepairToK:
@@ -626,6 +667,22 @@ class TestRepairToK:
             added, left = out & ~selected, ~out
             if left.any():
                 assert priority[added].min() >= priority[left].max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_repair_as_the_one_dimensional_masks(self, data):
+        rows = data.draw(st.integers(1, 6), label="rows")
+        n = data.draw(st.integers(1, 12), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        selected = np.array(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=n, max_size=n), min_size=rows, max_size=rows)))
+        # few distinct values, so priority ties are common
+        priority = np.array(data.draw(st.lists(st.lists(
+            st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=n, max_size=n),
+            min_size=rows, max_size=rows)))
+        out = _repair_to_k(selected, priority, k)
+        expected = np.stack([_repair_to_k(s, p, k) for s, p in zip(selected, priority)])
+        assert out.dtype == bool and np.array_equal(out, expected)
 
     def test_hs_and_pso_share_one_repair_and_one_mask_conversion(self):
         assert baselines._repair_to_k is harmony._repair_to_k
