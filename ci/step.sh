@@ -15,6 +15,12 @@ console_script() {
   cd "$work"
   subsetharmony --help
   subsetharmony eval --data "$tiny8" --features 0,1,2 --classifier knn --folds 2
+  # k past every fold's training rows: each vote takes all of them, and tiny8's
+  # folds train on as many rows of each class, so every vote ties to class 0,
+  # right on half of the rows
+  subsetharmony eval --data "$tiny8" --features 0,1,2 --classifier knn --neighbors 99 \
+    --folds 2 > all_rows.txt
+  grep -qx "accuracy: 50.00" all_rows.txt
   printf 'classifier = knn\nfolds = 2\n' > run.cfg
   subsetharmony eval --data "$tiny8" --features 0,1,2 --config run.cfg
   # scoring always standardizes, so the old switch is an unknown flag

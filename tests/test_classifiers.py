@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsetharmony import (
@@ -447,13 +447,27 @@ def _edge_votes(draw):
 
 
 def _vote_over_stale_buffers(x, y, n_classes, queries, k, skip_self=False):
-    """_knn_vote with buffers large enough for every block here, filled with nan."""
+    """_knn_vote with buffers large enough for every block here, filled with nan.
+
+    Fails if the vote swaps a buffer or adds a role of its own, which would run
+    it on fresh memory instead of the stale buffers.
+    """
+    buffers = {role: np.full(2 * _BLOCK_VALUES, np.nan) for role in ("sum", "plane")}
     stale = threading.local()
-    for role in ("sum", "plane", "partition"):
-        setattr(stale, role, np.full(2 * _BLOCK_VALUES, np.nan))
+    vars(stale).update(buffers)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
         mp.setattr(classifiers, "_VOTE_BUFFERS", stale)
-        return _knn_vote(x, y, n_classes, queries, k, skip_self)
+        got = _knn_vote(x, y, n_classes, queries, k, skip_self)
+    assert vars(stale).keys() == buffers.keys()
+    assert all(vars(stale)[role] is buf for role, buf in buffers.items())
+    return got
+
+
+# every distance but a query's own overflows to +inf, so a taken cell marked
+# with +inf's bits would tie the rows still untaken and, at a lower index, be
+# taken again; the labels make such a pick change the vote
+_OVERFLOW_ROWS = np.array([[0.0], [1.7e308], [-1.7e308]])
+_OVERFLOW_LABELS = np.array([1, 0, 0])
 
 
 class TestKnnPlaneExactness:
@@ -472,6 +486,14 @@ class TestKnnPlaneExactness:
 
     @settings(max_examples=300, deadline=None)
     @given(_edge_votes(), st.booleans())
+    # query 0's own row 0 is the lowest index at +inf: k = 1 must take row 1,
+    # and k = 2 rows 1 and 2, not row 0 once or twice
+    @example((_OVERFLOW_ROWS, _OVERFLOW_LABELS, 2, _OVERFLOW_ROWS, 1), True)
+    @example((_OVERFLOW_ROWS, _OVERFLOW_LABELS, 2, _OVERFLOW_ROWS, 2), True)
+    # no own row: every distance is +inf, and k = 2 must take rows 0 and 1, a
+    # tied vote, not row 0 twice
+    @example((np.array([[-1.7e308], [-1e308], [0.0]]), _OVERFLOW_LABELS, 2,
+              np.array([[1.7e308]]), 2), False)
     def test_vote_over_stale_buffers_equals_python_reference(self, case, skip_self):
         x, y, n_classes, queries, k = case
         if skip_self:
@@ -526,8 +548,8 @@ class TestKnnMemory:
 
 class TestKnnThreads:
     def test_concurrent_votes_equal_serial_votes(self):
-        # numpy releases the GIL in matmul and partition, so votes on shared
-        # buffers would overwrite each other's distances mid-call
+        # numpy releases the GIL in matmul, the squaring ufuncs and argmin, so
+        # votes on shared buffers would overwrite each other's distances mid-call
         rng = np.random.default_rng(7)
         cases = [(rng.normal(size=(200, 30)), rng.integers(0, 3, size=200),
                   rng.normal(size=(100, 30))) for _ in range(4)]
