@@ -263,14 +263,14 @@ def pca_transform(model: PcaModel, d: Dataset) -> Dataset:
 def evaluate_components(d: Dataset, r: int, cfg: ObjectiveConfig) -> EvaluationResult:
     """Cross-validated accuracy with per-fold PCA to r dimensions.
 
-    The subset objective's CV loop, with PCA fitted on the standardized
-    training part of each fold only.
+    cross_validate scores the folds of the subset objective's fold plan,
+    each reduced by a PCA fitted on its standardized training part only.
     """
-    def reduce(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+    pairs = []
+    for train, test in fold_plan(d, cfg):
         model = pca_fit(train, r)
-        return pca_transform(model, train), pca_transform(model, test)
-
-    return cross_validate(d, cfg, [reduce])[0]
+        pairs.append((pca_transform(model, train), pca_transform(model, test)))
+    return cross_validate([tuple(pairs)], cfg)[0]
 
 
 @dataclass(frozen=True)

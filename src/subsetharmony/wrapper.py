@@ -4,17 +4,18 @@ Every candidate subset is scored by stratified k-fold cross validation on
 its columns. The folds of a dataset, standardized at full width on each
 training part, are built once per dataset and fold setting (its fold plan);
 scoring a subset projects each fold's train and test part onto the subset's
-columns. The reported accuracy is micro-averaged: pooled correct count over
-pooled sample count across folds. Evaluations are memoized under the
-canonical (sorted) subset key, since the same feature set reappears
-constantly during a search.
+columns and hands those pairs to cross_validate, which scores whatever
+(train, test) pairs it is given. The reported accuracy is micro-averaged:
+pooled correct count over pooled sample count across folds. Evaluations
+are memoized under the canonical (sorted) subset key, since the same
+feature set reappears constantly during a search.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -127,25 +128,16 @@ def fold_plan(d: Dataset, cfg: ObjectiveConfig) -> FoldPairs:
     return plans[key]
 
 
-Transform = Callable[[Dataset, Dataset], tuple[Dataset, Dataset]]
+def cross_validate(members: Sequence[FoldPairs], cfg: ObjectiveConfig) -> list[EvaluationResult]:
+    """Accuracy of the configured classifier on each member's (train, test) pairs.
 
-
-def cross_validate(
-    d: Dataset,
-    cfg: ObjectiveConfig,
-    transforms: Sequence[Transform],
-) -> list[EvaluationResult]:
-    """Stratified k-fold CV accuracy of the configured classifier on d, once per transform.
-
-    Each member scores the folds of fold_plan(d, cfg), each first passed
-    through its `transform(train, test)`; a transform fitted on the
-    training part only keeps the test part unseen. The MLP
-    folds of all members train through one mlp_train_many call, each to the
-    bits it would reach alone; if any training diverges, it raises
-    TrainingDivergedError and scores nothing.
+    Each pair trains on its train part and predicts its test part; a
+    member's counts are pooled over its pairs. Whatever was fitted to build a
+    pair (z-scores, a PCA) should be fitted on its train part only, so the
+    test part stays unseen. The MLP pairs of all members train through one
+    mlp_train_many call, each to the bits it would reach alone; if any
+    training diverges, it raises TrainingDivergedError and scores nothing.
     """
-    plan = fold_plan(d, cfg)
-    members = [[transform(train, test) for train, test in plan] for transform in transforms]
     if cfg.classifier == "mlp":
         models = iter(mlp_train_many([train for pairs in members for train, _ in pairs],
                                      cfg.mlp))
@@ -171,16 +163,17 @@ def _result(correct: list[int], total: list[int]) -> EvaluationResult:
 def evaluate_subset(d: Dataset, s: FeatureSubset, cfg: ObjectiveConfig) -> EvaluationResult:
     """Stratified k-fold CV accuracy of the classifier on the subset's columns.
 
-    Each fold of the plan is projected onto the columns in ascending index
-    order, so a feature set scores the same whatever the order of its slots.
+    cross_validate scores the folds of fold_plan(d, cfg), each projected
+    onto the columns in ascending index order, so a feature set scores the
+    same whatever the order of its slots.
     """
-    return cross_validate(d, cfg, [_projection(s.key)])[0]
+    return cross_validate([_projected(fold_plan(d, cfg), s.key)], cfg)[0]
 
 
-def _projection(key: tuple[int, ...]) -> Transform:
-    """The fold transform that cuts a fold's parts to the key's columns, ascending."""
+def _projected(pairs: FoldPairs, key: tuple[int, ...]) -> FoldPairs:
+    """The pairs with both parts cut to the key's columns, ascending."""
     cols = FeatureSubset(key)
-    return lambda train, test: (project(train, cols), project(test, cols))
+    return tuple((project(train, cols), project(test, cols)) for train, test in pairs)
 
 
 class SubsetObjective:
@@ -243,9 +236,9 @@ class SubsetObjective:
                 if key not in self.cache and key not in self.pending]
         if not keys:
             return
+        plan = fold_plan(self.dataset, self.config)
         try:
-            results = cross_validate(self.dataset, self.config,
-                                     [_projection(key) for key in keys])
+            results = cross_validate([_projected(plan, key) for key in keys], self.config)
         except TrainingDivergedError:
             return
         self.pending.update(zip(keys, results))

@@ -31,7 +31,7 @@ from subsetharmony.classifiers import (
 from subsetharmony.dataset import standardize, stratified_kfold, take_rows
 from subsetharmony.synth import blob_dataset
 from subsetharmony.subsets import FeatureSubset
-from subsetharmony.wrapper import evaluate_subset
+from subsetharmony.wrapper import cross_validate, evaluate_subset
 
 from mlp_reference import initial_model, mlp_gradient, mlp_loss
 
@@ -690,6 +690,21 @@ class TestLockstep:
         assert result.correct_count == sum(correct)
         assert result.per_fold_accuracy == tuple(
             100.0 * c / test.n_samples for c, (_, test) in zip(correct, pairs))
+        # one held-out pair (45 train, 48 test rows) is scored as handed over:
+        # trained on its train part, counted on its test part, by either
+        # classifier; blobs this noisy keep both short of 100% on either part
+        noisy = blob_dataset(n_per_class=31, n_features=3, n_classes=3, seed=2, noise=4.0)
+        train_rows, test_rows = stratified_kfold(noisy, 2, 1)[0]
+        train, test = standardize(take_rows(noisy, train_rows), take_rows(noisy, test_rows))
+        knn = KnnConfig(k_neighbors=3)
+        by_hand = {"mlp": mlp_predict(mlp_train(train, cfg.mlp), test),
+                   "knn": knn_predict(train, knn, test)}
+        for classifier, predicted in by_hand.items():
+            held_out = ObjectiveConfig(classifier=classifier, mlp=cfg.mlp, knn=knn)
+            [result] = cross_validate([((train, test),)], held_out)
+            hits = int((predicted == test.labels).sum())
+            assert (result.correct_count, result.total_count) == (hits, test.n_samples)
+            assert result.per_fold_accuracy == (100.0 * hits / test.n_samples,)
 
     def test_divergence_names_the_earliest_epoch_of_any_fold(self):
         rng = np.random.default_rng(4)
