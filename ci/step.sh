@@ -64,6 +64,9 @@ console_script() {
   SUBSETHARMONY_SEED=7 subsetharmony select --data "$tiny8" --k 3 \
     --classifier knn --folds 2 --iterations 20 > env.txt
   cmp plain.txt env.txt
+  # a command with no report prints its three lines and no report line
+  test "$(wc -l < plain.txt)" -eq 3
+  if grep -q "report written" plain.txt; then exit 1; fi
   # a config file that is not UTF-8 is a usage error naming it, not a traceback
   printf 'classifier = knn\nfolds = \377\n' > bad.cfg
   status=0
@@ -73,18 +76,26 @@ console_script() {
   grep -qF "bad.cfg: not UTF-8 text" err.txt
   if grep -q Traceback err.txt; then exit 1; fi
   # each report command runs its optimizers and writes a CSV report that starts
-  # with its header
+  # with its header; its stdout starts with its own line and ends with exactly
+  # `report written: <file>`
   local report=(--data "$tiny8" --classifier knn --folds 2)
   subsetharmony grid "${report[@]}" --k 3 --hms-values 2,3 --iteration-values 2,3 \
-    --output grid.csv
+    --output grid.csv > grid.txt
   test "$(head -n 1 grid.csv)" = "iterations,2,3"
+  [[ "$(head -n 1 grid.txt)" == "best cell: iterations="* ]]
+  test "$(tail -n 1 grid.txt)" = "report written: grid.csv"
   subsetharmony fractions "${report[@]}" --fractions 25,50 --hms 3 --iterations 3 \
-    --output fractions.csv
+    --output fractions.csv > fractions.txt
   test "$(head -n 1 fractions.csv)" = "fraction_percent,subset_size,accuracy_percent"
+  [[ "$(head -n 1 fractions.txt)" == "best fraction: "* ]]
+  test "$(tail -n 1 fractions.txt)" = "report written: fractions.csv"
   subsetharmony compare "${report[@]}" --k 3 --optimizers hs,ga,pso,pca --hms 3 \
     --iterations 3 --population 4 --generations 2 --particles 4 --pso-iterations 2 \
-    --output compare.csv
+    --output compare.csv > compare.txt
   test "$(head -n 1 compare.csv)" = "optimizer,subset_size,accuracy_percent,execution_seconds"
+  # one line per optimizer
+  test "$(grep -c ': subset_size=' compare.txt)" -eq 4
+  test "$(tail -n 1 compare.txt)" = "report written: compare.csv"
   # the MLP objective batches, so each PSO sweep is prefetched as one batch
   subsetharmony compare --data "$tiny8" --k 3 --optimizers pso --epochs 1 --folds 2 \
     --particles 4 --pso-iterations 2 --output compare_mlp.csv

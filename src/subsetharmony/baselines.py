@@ -19,7 +19,14 @@ from .classifiers import _sigmoid
 from .dataset import Dataset, standardize, stratified_kfold, take_rows  # noqa: F401
 from .harmony import Harmony, RunHistory, RunLog, _repair_to_k, mask_subset, random_subset
 from .subsets import FeatureSubset, check_subset_size
-from .wrapper import EvaluationResult, ObjectiveConfig, SubsetObjective, cross_validate, fold_plan
+from .wrapper import (
+    EvaluationResult,
+    LeaveOneOutObjective,
+    ObjectiveConfig,
+    SubsetObjective,
+    cross_validate,
+    fold_plan,
+)
 
 # binary PSO velocity bound: sigmoid(4) ~ 0.982 keeps every dimension flippable
 VELOCITY_CLAMP = 4.0
@@ -288,8 +295,12 @@ def pca_candidates(cfg: PcaConfig, objective: SubsetObjective) -> list[int]:
     The feasible maximum is the smaller of the feature count and the
     smallest training fold of the objective's fold plan. With
     components=None every count up to it is a candidate; a larger
-    cfg.components is a ValueError.
+    cfg.components is a ValueError. So is a LeaveOneOutObjective: PCA
+    scores by k-fold CV, and one table must not mix two estimators.
     """
+    if isinstance(objective, LeaveOneOutObjective):
+        raise ValueError("the PCA baseline cross-validates with folds; "
+                         "it cannot score a leave-one-out objective")
     d = objective.dataset
     max_r = min(d.n_features, min(train.n_samples for train, _ in fold_plan(d, objective.config)))
     if cfg.components is None:

@@ -129,8 +129,11 @@ def _config(cls: type, ns: argparse.Namespace, **derived):
     return cls(**values, **{key: v for key, v in derived.items() if key in names})
 
 
-def _add_common(sub: argparse.ArgumentParser, *, reports: bool,
-                default_output: str) -> None:
+def _report_path(command: str, extension: str) -> str:
+    return f"{command}_report.{extension}"
+
+
+def _add_common(sub: argparse.ArgumentParser, *, reports: bool) -> None:
     sub.add_argument("--data", required=True, help="path to the CSV dataset")
     sub.add_argument("--label", default="label", help="label column name")
     sub.add_argument("--seed", type=int, default=0,
@@ -139,8 +142,8 @@ def _add_common(sub: argparse.ArgumentParser, *, reports: bool,
                      help="key=value file; flags override its entries")
     _add_flags(sub, ObjectiveConfig, MlpConfig, KnnConfig)
     if reports:
-        sub.add_argument("--output", default=None,
-                         help=f"report file path (default: {default_output})")
+        default = _report_path(sub.prog.split()[-1], "<format>")
+        sub.add_argument("--output", default=None, help=f"report file path (default: {default})")
         sub.add_argument("--format", choices=("csv", "markdown"), default="csv",
                          help="report file format")
 
@@ -155,7 +158,7 @@ def _build_parser() -> _Parser:
     kwargs = {"formatter_class": _HelpFormatter}
 
     p = subs.add_parser("select", help="search for the best k-feature subset", **kwargs)
-    _add_common(p, reports=False, default_output="")
+    _add_common(p, reports=False)
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--optimizer", default="hs",
                    choices=tuple(name for name, cls in OPTIMIZERS.items() if cls is not PcaConfig),
@@ -163,7 +166,7 @@ def _build_parser() -> _Parser:
     _add_flags(p, HsConfig, GaConfig, PsoConfig)
 
     p = subs.add_parser("grid", help="HMS x iterations accuracy grid", **kwargs)
-    _add_common(p, reports=True, default_output="grid_report.<format>")
+    _add_common(p, reports=True)
     p.add_argument("--k", type=int, required=True, help="subset size")
     # comma-string defaults: argparse runs them through the flag's type
     p.add_argument("--hms-values", type=_list_of(int, "integer"), default="10,20,30,40,50",
@@ -174,26 +177,26 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("fractions", help="sweep subset sizes as feature fractions",
                         **kwargs)
-    _add_common(p, reports=True, default_output="fractions_report.<format>")
+    _add_common(p, reports=True)
     p.add_argument("--fractions", type=_list_of(float, "number"),
                    default=",".join(f"{pct:g}" for pct in DEFAULT_FRACTIONS),
                    help="comma-separated percentages in (0,100]")
     _add_flags(p, HsConfig)
 
     p = subs.add_parser("compare", help="run several optimizers and time them", **kwargs)
-    _add_common(p, reports=True, default_output="compare_report.<format>")
+    _add_common(p, reports=True)
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--optimizers", type=_name_list, default="hs,ga,pso",
                    help=f"comma-separated subset of {','.join(OPTIMIZERS)}")
     _add_flags(p, PcaConfig, HsConfig, GaConfig, PsoConfig)
 
     p = subs.add_parser("pca", help="PCA baseline accuracy", **kwargs)
-    _add_common(p, reports=False, default_output="")
+    _add_common(p, reports=False)
     _add_flags(p, PcaConfig)
 
     p = subs.add_parser("eval", help="cross-validated accuracy of a fixed subset",
                         **kwargs)
-    _add_common(p, reports=False, default_output="")
+    _add_common(p, reports=False)
     p.add_argument("--features", type=_list_of(int, "integer"), required=True,
                    help="comma-separated feature indices")
 
@@ -278,7 +281,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if not os.path.isfile(ns.data):
         raise UsageError(f"dataset file not found: {ns.data}")
     if getattr(ns, "output", "") is None:
-        ns.output = f"{command}_report.{'csv' if ns.format == 'csv' else 'md'}"
+        ns.output = _report_path(command, "csv" if ns.format == "csv" else "md")
     # a report that cannot be written is refused before the search, not after it
     output = getattr(ns, "output", None)
     if output is not None:
@@ -313,62 +316,45 @@ def main(ns: argparse.Namespace) -> int:
                              subset_size=getattr(ns, "k", 1), seed=derive_seed(ns.seed, name))
                for name in ns.optimizer_names}
 
+    report = None
     if ns.command == "select":
         (best, history), _ = run_optimizers([configs[ns.optimizer]], objective,
                                             reset_cache=False)[0]
-        print(_subset_line("best subset", d, best.subset.indices))
-        print(f"accuracy: {best.fitness:.2f}")
-        print(f"evaluations: {history.evaluations}")
-        return 0
-
-    if ns.command == "grid":
+        lines = [_subset_line("best subset", d, best.subset.indices),
+                 f"accuracy: {best.fitness:.2f}", f"evaluations: {history.evaluations}"]
+    elif ns.command == "grid":
         report = sweep_grid(ns.hms_values, ns.iteration_values, configs["hs"], objective)
-        emit_report(report, ns.format, ns.output)
-        print(
-            f"best cell: iterations={report.iteration_values[report.best_row]} "
-            f"hms={report.hms_values[report.best_col]} "
-            f"accuracy={report.best_accuracy:.2f}"
-        )
-        print(f"report written: {ns.output}")
-        return 0
-
-    if ns.command == "fractions":
+        lines = [f"best cell: iterations={report.iteration_values[report.best_row]} "
+                 f"hms={report.hms_values[report.best_col]} "
+                 f"accuracy={report.best_accuracy:.2f}"]
+    elif ns.command == "fractions":
         report = sweep_fractions(ns.fractions, configs["hs"], objective)
-        emit_report(report, ns.format, ns.output)
         best = report.best_index
-        print(
-            f"best fraction: {report.fraction_percents[best]:g} "
-            f"(k={report.subset_sizes[best]}) "
-            f"accuracy={report.accuracies[best]:.2f}"
-        )
-        print(f"report written: {ns.output}")
-        return 0
-
-    if ns.command == "compare":
+        lines = [f"best fraction: {report.fraction_percents[best]:g} "
+                 f"(k={report.subset_sizes[best]}) accuracy={report.accuracies[best]:.2f}"]
+    elif ns.command == "compare":
         report = compare_optimizers([configs[name] for name in ns.optimizers], objective)
-        emit_report(report, ns.format, ns.output)
-        for row in report.rows:
-            print(f"{row.optimizer}: subset_size={row.subset_size} "
-                  f"accuracy={row.accuracy_percent:.2f}")
-        print(f"report written: {ns.output}")
-        return 0
-
-    if ns.command == "pca":
+        lines = [f"{row.optimizer}: subset_size={row.subset_size} "
+                 f"accuracy={row.accuracy_percent:.2f}" for row in report.rows]
+    elif ns.command == "pca":
         result, _ = run_optimizers([configs["pca"]], objective, reset_cache=False)[0]
-        print(f"components: {result.components}")
-        print(f"accuracy: {result.accuracy_percent:.2f}")
-        return 0
+        lines = [f"components: {result.components}",
+                 f"accuracy: {result.accuracy_percent:.2f}"]
+    else:  # eval
+        subset = FeatureSubset(ns.features)
+        result = objective.evaluate(subset)
+        lo, hi = confidence_interval(result.correct_count / result.total_count,
+                                     result.total_count)
+        lines = [_subset_line("subset", d, subset.indices),
+                 f"accuracy: {result.accuracy_percent:.2f}",
+                 "per-fold: " + ",".join(f"{a:.2f}" for a in result.per_fold_accuracy),
+                 f"95% CI: [{100.0 * lo:.2f}, {100.0 * hi:.2f}]"]
 
-    # eval
-    subset = FeatureSubset(ns.features)
-    result = objective.evaluate(subset)
-    print(_subset_line("subset", d, subset.indices))
-    print(f"accuracy: {result.accuracy_percent:.2f}")
-    print("per-fold: " + ",".join(f"{a:.2f}" for a in result.per_fold_accuracy))
-    lo, hi = confidence_interval(
-        result.correct_count / result.total_count, result.total_count
-    )
-    print(f"95% CI: [{100.0 * lo:.2f}, {100.0 * hi:.2f}]")
+    # the one exit: a report is written before anything is printed
+    if report is not None:
+        emit_report(report, ns.format, ns.output)
+        lines.append(f"report written: {ns.output}")
+    print("\n".join(lines))
     return 0
 
 

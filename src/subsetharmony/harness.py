@@ -201,9 +201,10 @@ def run_optimizers(
     """Run each config's optimizer on the objective in order; (result, wall seconds) each.
 
     Every config is checked first: one no optimizer takes is a TypeError, a PCA
-    component count the folds cannot hold a ValueError. reset_cache clears the
-    cache before each run, else the runs share it (scores are pure). A result is
-    hs_run's, ga_run's or pso_run's (best, history) pair, or pca_run's PcaSweepResult.
+    component count the folds cannot hold, or PCA against a leave-one-out
+    objective, a ValueError. reset_cache clears the cache before each run, else
+    the runs share it (scores are pure). A result is hs_run's, ga_run's or
+    pso_run's (best, history) pair, or pca_run's PcaSweepResult.
     """
     # looked up per call, so a run function replaced on this module is the one that runs
     runners = {HsConfig: hs_run, GaConfig: ga_run, PsoConfig: pso_run, PcaConfig: pca_run}

@@ -265,8 +265,8 @@ class LeaveOneOutObjective(SubsetObjective):
     the other n-1 rows, with k clamped to n-1 (equidistant neighbors prefer
     the lower sample index, tied votes the lowest class id), so
     exhaustive-search oracles are exactly repeatable. Only the scoring step
-    differs; `config` names the kNN, and consumers that cross-validate on
-    their own (pca_run) read its fold settings.
+    differs; `config` names the kNN, and its fold settings are unused: pca_run,
+    which scores with folds of its own, refuses this objective.
     """
 
     def __init__(self, dataset: Dataset, k_neighbors: int = 1) -> None:

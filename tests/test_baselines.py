@@ -302,3 +302,8 @@ class TestPcaObjective:
                                                      fold_seed=1))
         with pytest.raises(ValueError):
             pca_run(PcaConfig(components=5), obj)  # blobs has 4 features
+
+    @pytest.mark.parametrize("components", [None, 3])
+    def test_leave_one_out_objective_rejected(self, tiny8, components):
+        with pytest.raises(ValueError, match="cannot score a leave-one-out objective$"):
+            pca_run(PcaConfig(components=components), LeaveOneOutObjective(tiny8))

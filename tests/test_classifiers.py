@@ -675,25 +675,31 @@ class TestLockstep:
             _assert_same_bits(model, _sequential_train(train, cfg))
 
     def test_cross_validate_equals_sequential_folds(self):
-        # 31 rows per class over 3 folds: train sizes 60, 63 and 63
-        d = blob_dataset(n_per_class=31, n_features=3, n_classes=3, seed=2)
+        # 31 rows per class over 3 folds: train sizes 60, 63 and 63. The 5-epoch
+        # MLP gets every row of the clean blobs right, so only the noisy ones,
+        # with a fold below 100%, catch a scorer that lets test rows into the fit
+        clean = blob_dataset(n_per_class=31, n_features=3, n_classes=3, seed=2)
+        noisy = blob_dataset(n_per_class=31, n_features=3, n_classes=3, seed=2, noise=4.0)
         cfg = ObjectiveConfig(mlp=MlpConfig(epochs=5, seed=4), folds=3, fold_seed=1)
-        pairs = [standardize(take_rows(d, train_rows), take_rows(d, test_rows))
-                 for train_rows, test_rows in stratified_kfold(d, 3, 1)]
-        assert sorted(train.n_samples for train, _ in pairs) == [60, 63, 63]
-        references = [_sequential_train(train, cfg.mlp) for train, _ in pairs]
-        for model, reference in zip(mlp_train_many([t for t, _ in pairs], cfg.mlp), references):
-            _assert_same_bits(model, reference)
-        correct = [int((mlp_predict(m, test) == test.labels).sum())
-                   for m, (_, test) in zip(references, pairs)]
-        result = evaluate_subset(d, FeatureSubset(range(d.n_features)), cfg)
-        assert result.correct_count == sum(correct)
-        assert result.per_fold_accuracy == tuple(
-            100.0 * c / test.n_samples for c, (_, test) in zip(correct, pairs))
+        for d in (clean, noisy):
+            pairs = [standardize(take_rows(d, train_rows), take_rows(d, test_rows))
+                     for train_rows, test_rows in stratified_kfold(d, 3, 1)]
+            assert sorted(train.n_samples for train, _ in pairs) == [60, 63, 63]
+            references = [_sequential_train(train, cfg.mlp) for train, _ in pairs]
+            trained = mlp_train_many([t for t, _ in pairs], cfg.mlp)
+            for model, reference in zip(trained, references):
+                _assert_same_bits(model, reference)
+            correct = [int((mlp_predict(m, test) == test.labels).sum())
+                       for m, (_, test) in zip(references, pairs)]
+            per_fold = tuple(100.0 * c / test.n_samples for c, (_, test) in zip(correct, pairs))
+            if d is noisy:
+                assert min(per_fold) < 100.0
+            result = evaluate_subset(d, FeatureSubset(range(d.n_features)), cfg)
+            assert result.correct_count == sum(correct)
+            assert result.per_fold_accuracy == per_fold
         # one held-out pair (45 train, 48 test rows) is scored as handed over:
         # trained on its train part, counted on its test part, by either
         # classifier; blobs this noisy keep both short of 100% on either part
-        noisy = blob_dataset(n_per_class=31, n_features=3, n_classes=3, seed=2, noise=4.0)
         train_rows, test_rows = stratified_kfold(noisy, 2, 1)[0]
         train, test = standardize(take_rows(noisy, train_rows), take_rows(noisy, test_rows))
         knn = KnnConfig(k_neighbors=3)

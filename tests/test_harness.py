@@ -263,6 +263,16 @@ class TestCompareOptimizers:
         with pytest.raises(TypeError, match="^unsupported optimizer config: ObjectiveConfig$"):
             harness.run_optimizers(configs, obj, reset_cache=True)
 
+    def test_pca_on_leave_one_out_rejected_before_the_first_run(self, tiny8, monkeypatch):
+        def spy(cfg, objective):
+            raise AssertionError("HS ran before the PCA config was checked")
+
+        monkeypatch.setattr(harness, "hs_run", spy)
+        # HS would score by leave-one-out and PCA by 3-fold CV: two estimators in one table
+        configs = [HsConfig(8, 3, hms=4, max_iterations=10, seed=1), PcaConfig(components=3)]
+        with pytest.raises(ValueError, match="cannot score a leave-one-out objective$"):
+            harness.run_optimizers(configs, LeaveOneOutObjective(tiny8), reset_cache=True)
+
     def test_infeasible_components_rejected_before_the_first_run(self, tiny8, monkeypatch):
         def spy(cfg, objective):
             raise AssertionError("HS ran before the PCA config was checked")
